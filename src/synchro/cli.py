@@ -101,8 +101,12 @@ def _load_automaton(args) -> Automaton:
 def _resolve_maxsize(spec: str, n: int) -> Optional[int]:
     from .bench import resolve_maxsize
 
-    if spec not in ("log", "n", "unbounded") and not spec.isdigit():
-        raise ValueError(f"bad --maxsize {spec!r}")
+    if spec not in ("log", "n", "unbounded") and not (
+        spec.isdigit() and int(spec) >= 1
+    ):
+        raise ValueError(
+            f"bad --maxsize {spec!r}: use log, n, unbounded or an integer >= 1"
+        )
     return resolve_maxsize(spec, n)
 
 
@@ -126,6 +130,8 @@ def _cmd_run(args) -> int:
 
     try:
         maxsize = _resolve_maxsize(args.maxsize, a.n)
+        if args.maxlen is not None and args.maxlen < 0:
+            raise ValueError(f"bad --maxlen {args.maxlen}: must be >= 0")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -172,8 +178,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    jobs = int(os.environ.get(JOBS_ENV, "1"))
+    jobs = os.environ.get(JOBS_ENV, "1")
     try:
+        if not jobs.strip().isdigit():
+            raise ValueError(f"{JOBS_ENV} must be a positive integer, got {jobs!r}")
         cfg = ExperimentConfig(
             ns=tuple(args.n),
             k=args.k,
@@ -182,7 +190,7 @@ def _cmd_bench(args) -> int:
             algorithms=tuple(args.algos),
             start_mode=args.start_mode,
             permute_by_indegree=args.permute_indegree,
-            jobs=jobs,
+            jobs=int(jobs),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,9 +22,9 @@ class SearchResult:
 
     ``frontier_sizes[l]`` is the frontier size after trimming at level ``l``
     (index 0 = start singletons); empty for searches without a frontier.
-    ``level_ops`` counts elementary set-operation steps per level, for
-    complexity checks. ``record`` is the goal frontier record when the word
-    came out of the inverse search.
+    ``level_ops`` counts, per level, the preimage member steps plus one per
+    dedup probe, for complexity checks. ``record`` is the goal frontier
+    record when the word came out of the inverse search.
     """
 
     length: int

@@ -89,6 +89,18 @@ def reconstruct_word(final: FrontierRecord) -> Word:
     return tuple(word)
 
 
+def _as_frontier_record(n: int, rec: tuple) -> FrontierRecord:
+    """The FrontierRecord chain of a (bits, letter, parent) tuple chain."""
+    chain = []
+    while rec is not None:
+        chain.append(rec)
+        rec = rec[2]
+    out = None
+    for lvl, (bits, letter, _) in enumerate(reversed(chain)):
+        out = FrontierRecord(StateSet.from_bits(n, bits), letter, out, lvl)
+    return out
+
+
 def cutoff_ibfs(a: Automaton, params: SearchParams) -> Optional[SearchResult]:
     """Run the cutoff inverse BFS; None if no reset word of length <= maxlen
     was found within the frontier budget."""
@@ -108,52 +120,47 @@ def cutoff_ibfs(a: Automaton, params: SearchParams) -> Optional[SearchResult]:
             params=params,
         )
 
+    # Frontier records are plain (bits, letter, parent) tuples; the
+    # FrontierRecord chain is built for the goal only.
     full = m.full_bits
-    frontier = [
-        FrontierRecord(s, None, None, 0) for s in start_set(m, params.start_mode)
-    ]
+    frontier = [(s.bits, None, None) for s in start_set(m, params.start_mode)]
     sizes = [len(frontier)]
     level_ops: list[int] = []
 
     for level in range(1, params.maxlen + 1):
         trie = SetTrie(n)
         ops = 0
-        goal: Optional[FrontierRecord] = None
+        goal = None
         for rec in frontier:
-            sbits = rec.set.bits
-            card = rec.set.cardinality
+            sbits = rec[0]
+            card = sbits.bit_count()
             for letter in range(k):
                 pbits = m.preimage_bits(sbits, letter)
                 ops += card
                 if pbits == 0:
                     continue
                 if pbits == full:
-                    goal = FrontierRecord(
-                        StateSet.from_bits(n, full), letter, rec, level
-                    )
+                    goal = (full, letter, rec)
                     break
-                child_set = StateSet.from_bits(n, pbits)
                 # duplicate sets keep the first record; insert is a no-op then
-                trie.insert(
-                    child_set, FrontierRecord(child_set, letter, rec, level)
-                )
+                trie.insert(pbits, (pbits, letter, rec))
             if goal is not None:
                 break
         level_ops.append(ops + trie.ops)
         if goal is not None:
-            word = reconstruct_word(goal)
+            record = _as_frontier_record(n, goal)
             return SearchResult(
                 level,
-                word,
+                reconstruct_word(record),
                 "cutoff-ibfs",
                 frontier_sizes=sizes,
                 elapsed=time.perf_counter() - t0,
                 params=params,
                 level_ops=level_ops,
-                record=goal,
+                record=record,
             )
-        cap = trie.size if params.maxsize is UNBOUNDED else params.maxsize
-        frontier = [rec for _, rec in trie.take_largest(cap)] if trie.size else []
+        cap = len(trie) if params.maxsize is UNBOUNDED else params.maxsize
+        frontier = [rec for _, rec in trie.take_largest(cap)] if len(trie) else []
         sizes.append(len(frontier))
         if not frontier:
             break

@@ -1,116 +1,70 @@
-"""Deduplicating storage of state sets, bucketed by cardinality.
+"""Deduplicating storage of state sets, with largest-first extraction.
 
-Each bucket is a trie over the sorted member sequence of its sets, so all
-sets of one bucket terminate at the same depth. Insertion touches at most
-``cardinality`` nodes, i.e. O(n) per call.
+Sets are int bitmasks over [0, n) (bit q set = state q is a member), kept in
+a dict from mask to payload, so a duplicate check is one hash probe. The
+search only ever asks "have I seen exactly this set?", never a subset query,
+so no trie structure is needed.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any
 
-from .automaton import StateSet
+# _REVERSED_BYTE[b] is the byte b with its 8 bits in reverse order, built
+# with the multiply-and-modulus byte reversal ("Bit Twiddling Hacks"), which
+# costs a sixth of formatting and reparsing each byte at import.
+_REVERSED_BYTE = bytes((b * 0x0202020202 & 0x010884422010) % 1023 for b in range(256))
 
 
 class SetTrie:
     """Distinct nonempty subsets of [0, n) with largest-first extraction.
 
-    ``ops`` counts trie node steps, for operation-count checks.
+    ``ops`` counts insert probes (one per ``insert`` call), for
+    operation-count checks.
     """
 
-    __slots__ = ("n", "size", "ops", "_buckets")
+    __slots__ = ("n", "ops", "_sets")
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("state count must be >= 1")
         self.n = n
-        self.size = 0
         self.ops = 0
-        # index = cardinality; each bucket is a nested dict keyed by state,
-        # with the payload sitting where the last member's child would be
-        self._buckets: list[dict | None] = [None] * (n + 1)
+        self._sets: dict[int, Any] = {}
 
     def __len__(self) -> int:
-        return self.size
+        return len(self._sets)
 
-    def insert(self, s: StateSet, payload: Any = None) -> bool:
-        """Store ``s`` with ``payload``; True if new, False if a duplicate.
-        A duplicate keeps the payload stored first. Empty sets are rejected
-        (callers must filter empty preimages before inserting)."""
-        if s.n != self.n:
-            raise ValueError(f"set over [0, {s.n}) in trie over [0, {self.n})")
-        members = s.members()
-        if not members:
-            raise ValueError("cannot insert the empty set")
-        card = len(members)
-        node = self._buckets[card]
-        if node is None:
-            node = self._buckets[card] = {}
-        for m in members[:-1]:
-            self.ops += 1
-            child = node.get(m)
-            if child is None:
-                child = node[m] = {}
-            node = child
+    def insert(self, bits: int, payload: Any = None) -> bool:
+        """Store the set ``bits`` with ``payload``; True if new, False if a
+        duplicate. A duplicate keeps the payload stored first. Empty sets and
+        masks with bits at or above ``n`` are rejected (callers must filter
+        empty preimages before inserting)."""
+        if bits <= 0 or bits >> self.n:
+            raise ValueError(f"mask {bits:#x} is not a nonempty set over [0, {self.n})")
         self.ops += 1
-        last = members[-1]
-        if last in node:
+        sets = self._sets
+        if bits in sets:
             return False
-        node[last] = payload
-        self.size += 1
+        sets[bits] = payload
         return True
 
-    def __contains__(self, s: StateSet) -> bool:
-        members = s.members()
-        if not members:
-            return False
-        node = self._buckets[len(members)]
-        for m in members[:-1]:
-            if node is None or m not in node:
-                return False
-            node = node[m]
-        return node is not None and members[-1] in node
-
-    def _iter_bucket(self, root: dict, depth: int) -> Iterator:
-        # iterative DFS in ascending key order; recursion would overflow on
-        # deep buckets (cardinality can reach n)
-        stack = [iter(sorted(root))]
-        nodes = [root]
-        path: list[int] = []
-        while stack:
-            m = next(stack[-1], None)
-            if m is None:
-                stack.pop()
-                nodes.pop()
-                if path:
-                    path.pop()
-                continue
-            if len(stack) == depth:
-                yield tuple(path) + (m,), nodes[-1][m]
-            else:
-                path.append(m)
-                child = nodes[-1][m]
-                nodes.append(child)
-                stack.append(iter(sorted(child)))
-
-    def items(self) -> Iterator[tuple[StateSet, Any]]:
-        """All stored sets, largest cardinality first, lexicographic by sorted
-        members within equal cardinality."""
-        for card in range(self.n, 0, -1):
-            bucket = self._buckets[card]
-            if bucket is None:
-                continue
-            for members, payload in self._iter_bucket(bucket, card):
-                yield StateSet(self.n, members), payload
-
-    def take_largest(self, c: int) -> list[tuple[StateSet, Any]]:
-        """Up to ``c`` stored sets in non-increasing cardinality order (ties in
-        lexicographic member order). Returns fewer if the trie holds fewer."""
+    def take_largest(self, c: int) -> list[tuple[int, Any]]:
+        """Up to ``c`` stored ``(bits, payload)`` pairs, larger sets first and
+        sets of equal size in lexicographic order of their sorted members.
+        Returns fewer if fewer are stored."""
         if c < 1:
             raise ValueError("need c >= 1")
-        out = []
-        for item in self.items():
-            out.append(item)
-            if len(out) == c:
-                break
-        return out
+        nbytes = (self.n + 7) // 8
+
+        # Reversing the mask's bits puts state 0 on top, so among sets of
+        # equal size the lexicographically smaller member list has the larger
+        # reversed mask.
+        def key(item: tuple[int, Any]) -> tuple[int, int]:
+            bits = item[0]
+            reversed_bits = int.from_bytes(
+                bits.to_bytes(nbytes, "little").translate(_REVERSED_BYTE), "big"
+            )
+            return bits.bit_count(), reversed_bits
+
+        return sorted(self._sets.items(), key=key, reverse=True)[:c]

@@ -118,3 +118,21 @@ def test_bench_to_stdout(capsys):
     )
     assert code == EXIT_OK
     assert out.startswith("n,k,trial,seed,algorithm,length,time_s,frontier_peak")
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (("run", "--cerny", "4", "--maxsize", "0"), {}),
+        (("run", "--cerny", "4", "--maxlen", "-1"), {}),
+        (("bench", "--n", "5", "--trials", "1"), {"SYNCHRO_JOBS": "abc"}),
+    ],
+    ids=["maxsize-0", "maxlen-negative", "jobs-not-an-integer"],
+)
+def test_bad_input_exits_with_error_not_traceback(capsys, monkeypatch, argv, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_ERROR
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

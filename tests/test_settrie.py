@@ -1,66 +1,80 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from synchro import SetTrie, StateSet, cerny, cutoff_ibfs, SearchParams
+from synchro import SetTrie, cerny, cutoff_ibfs, SearchParams
 
 
-def sset(n, members):
-    return StateSet(n, members)
+def mask(members):
+    return sum(1 << q for q in set(members))
+
+
+def members_of(n, bits):
+    return tuple(q for q in range(n) if bits >> q & 1)
+
+
+def oracle_order(sets):
+    """Larger sets first, equal sizes lexicographic by sorted members."""
+    return sorted(sets, key=lambda m: (-len(m), m))
 
 
 def test_insert_then_duplicate():
     t = SetTrie(8)
-    assert t.insert(sset(8, [1, 3]), "first")
-    assert not t.insert(sset(8, [1, 3]), "second")
+    assert t.insert(mask([1, 3]), "first")
+    assert not t.insert(mask([1, 3]), "second")
     assert len(t) == 1
     # duplicate keeps the first payload
-    assert t.take_largest(1) == [(sset(8, [1, 3]), "first")]
+    assert t.take_largest(1) == [(mask([1, 3]), "first")]
 
 
 def test_different_cardinalities_are_distinct():
     t = SetTrie(8)
-    assert t.insert(sset(8, [1, 3]))
-    assert t.insert(sset(8, [1, 3, 5]))
+    assert t.insert(mask([1, 3]))
+    assert t.insert(mask([1, 3, 5]))
     assert len(t) == 2
 
 
 def test_empty_set_rejected():
     t = SetTrie(4)
     with pytest.raises(ValueError):
-        t.insert(sset(4, []))
+        t.insert(0)
 
 
-def test_wrong_universe_rejected():
+@pytest.mark.parametrize(
+    "bits",
+    [1 << 4, (1 << 4) | 1, 1 << 70, -1],
+    ids=["bit-n", "bit-n-and-0", "bit-70", "negative"],
+)
+def test_mask_outside_universe_rejected(bits):
     t = SetTrie(4)
     with pytest.raises(ValueError):
-        t.insert(sset(5, [1]))
+        t.insert(bits)
+    assert len(t) == 0
 
 
 def test_take_largest_order():
     t = SetTrie(6)
     for members in ([1], [2, 3], [0, 1, 2]):
-        t.insert(sset(6, members))
-    assert [s.members() for s, _ in t.take_largest(2)] == [[0, 1, 2], [2, 3]]
+        t.insert(mask(members))
+    assert [members_of(6, b) for b, _ in t.take_largest(2)] == [(0, 1, 2), (2, 3)]
 
 
 def test_take_largest_fewer_than_requested_and_tie_order():
     t = SetTrie(6)
-    t.insert(sset(6, [2]))
-    t.insert(sset(6, [1]))
-    assert [s.members() for s, _ in t.take_largest(5)] == [[1], [2]]
+    t.insert(mask([2]))
+    t.insert(mask([1]))
+    assert [members_of(6, b) for b, _ in t.take_largest(5)] == [(1,), (2,)]
 
 
 def test_take_largest_one_returns_a_maximum():
     t = SetTrie(10)
     rng = random.Random(0)
-    sets = [
-        sset(10, rng.sample(range(10), rng.randint(1, 10))) for _ in range(50)
-    ]
+    sets = [rng.sample(range(10), rng.randint(1, 10)) for _ in range(50)]
     for s in sets:
-        t.insert(s)
+        t.insert(mask(s))
     top, _ = t.take_largest(1)[0]
-    assert top.cardinality == max(s.cardinality for s in sets)
+    assert top.bit_count() == max(len(s) for s in sets)
 
 
 def test_dedup_matches_python_set_oracle():
@@ -69,13 +83,13 @@ def test_dedup_matches_python_set_oracle():
     seen = set()
     for _ in range(500):
         members = tuple(sorted(rng.sample(range(12), rng.randint(1, 12))))
-        t.insert(StateSet(12, members))
+        t.insert(mask(members))
         seen.add(members)
     assert len(t) == len(seen)
-    stored = [tuple(s.members()) for s, _ in t.items()]
+    stored = [members_of(12, b) for b, _ in t.take_largest(len(t))]
     assert set(stored) == seen
     # non-increasing cardinality, lexicographic within equal cardinality
-    assert stored == sorted(seen, key=lambda m: (-len(m), m))
+    assert stored == oracle_order(seen)
     assert len(stored) == len(set(stored))
 
 
@@ -85,23 +99,50 @@ def test_take_largest_matches_counting_sort_oracle():
     seen = set()
     for _ in range(200):
         members = tuple(sorted(rng.sample(range(9), rng.randint(1, 9))))
-        t.insert(StateSet(9, members))
+        t.insert(mask(members))
         seen.add(members)
-    expect = sorted(seen, key=lambda m: (-len(m), m))
+    expect = oracle_order(seen)
     for c in (1, 3, 17, len(seen) + 5):
-        got = [tuple(s.members()) for s, _ in t.take_largest(c)]
+        got = [members_of(9, b) for b, _ in t.take_largest(c)]
         assert got == expect[:c]
 
 
 def test_insertion_cost_linear_in_n():
-    # node steps per insert are bounded by the set cardinality, hence by n
+    # one probe per insert, duplicates included, so well within n per insert
     n = 40
     rng = random.Random(3)
     t = SetTrie(n)
     inserts = 300
     for _ in range(inserts):
-        t.insert(StateSet(n, rng.sample(range(n), rng.randint(1, n))))
-    assert t.ops <= inserts * n
+        t.insert(mask(rng.sample(range(n), rng.randint(1, n))))
+    assert t.ops == inserts <= inserts * n
+
+
+@st.composite
+def stored_masks(draw):
+    # state counts on both sides of byte and machine-word boundaries
+    n = draw(st.sampled_from([1, 7, 8, 9, 63, 64, 65, 100, 130]))
+    # uniform masks, plus small sets so that equal sizes tie often
+    one_mask = st.integers(1, (1 << n) - 1) | st.sets(
+        st.integers(0, n - 1), min_size=1, max_size=3
+    ).map(mask)
+    masks = draw(st.lists(one_mask, min_size=1, max_size=40))
+    return n, masks
+
+
+@given(stored_masks(), st.integers(1, 45))
+def test_take_largest_order_property(stored, c):
+    n, masks = stored
+    t = SetTrie(n)
+    first = {}
+    for i, bits in enumerate(masks):
+        assert t.insert(bits, i) == (bits not in first)
+        first.setdefault(bits, i)
+    got = t.take_largest(c)
+    expect = oracle_order({members_of(n, b) for b in first})[:c]
+    assert [members_of(n, b) for b, _ in got] == expect
+    assert all(payload == first[b] for b, payload in got)
+    assert t.take_largest(c + 1)[: len(got)] == got
 
 
 def test_cerny_level_inserts_stay_within_n_sets():
