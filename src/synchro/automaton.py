@@ -2,12 +2,15 @@
 
 States are 0..n-1 and letters are 0..k-1. State sets are bit masks wrapped
 in :class:`StateSet`. An automaton is immutable after construction; the
-inverse transition table is built once on first use and only read afterwards.
+inverse transition table and the per-byte preimage tables are each built
+once on first use and only read afterwards.
 """
 
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import getitem, or_
 from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
@@ -21,6 +24,19 @@ def _bit_members(bits: int) -> list[int]:
         out.append(low.bit_length() - 1)
         bits ^= low
     return out
+
+
+def _byte_tables(masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """One 256-entry table per byte of a state mask: entry ``b`` of table
+    ``j`` is the OR of ``masks[8*j + i]`` over the bits ``i`` set in ``b``.
+    A short last byte is padded with zero masks."""
+    tables = []
+    for j in range(0, len(masks), 8):
+        t = [0]
+        for x in masks[j : j + 8]:
+            t += [v | x for v in t]
+        tables.append(tuple(t + [0] * (256 - len(t))))
+    return tuple(tables)
 
 
 class StateSet:
@@ -87,7 +103,7 @@ class Automaton:
     table must be rectangular and every entry must lie in [0, n).
     """
 
-    __slots__ = ("n", "k", "rows", "_cols", "_inv_bits")
+    __slots__ = ("n", "k", "rows", "_cols", "_inv_bits", "_pre_tables")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         rows = tuple(tuple(int(x) for x in row) for row in rows)
@@ -108,6 +124,7 @@ class Automaton:
         self.rows = rows
         self._cols = tuple(tuple(row[a] for row in rows) for a in range(k))
         self._inv_bits = None
+        self._pre_tables = None
 
     def delta(self, q: int, a: int) -> int:
         return self.rows[q][a]
@@ -151,13 +168,17 @@ class Automaton:
         return out
 
     def preimage_bits(self, bits: int, a: int) -> int:
-        inv = self._inverse()[a]
-        out = 0
-        while bits:
-            low = bits & -bits
-            out |= inv[low.bit_length() - 1]
-            bits ^= low
-        return out
+        # Preimage distributes over union, so OR together one table entry per
+        # byte of the mask. The tables are built on the first call, not with
+        # the inverse, so they never coexist with a pair table that only
+        # needed the inverse. Idempotent like _inverse().
+        tables = self._pre_tables
+        if tables is None:
+            tables = tuple(_byte_tables(masks) for masks in self._inverse())
+            self._pre_tables = tables
+        per_byte = tables[a]
+        chunks = bits.to_bytes(len(per_byte), "little")
+        return reduce(or_, map(getitem, per_byte, chunks), 0)
 
     def _check_set(self, s: StateSet) -> None:
         if s.n != self.n:

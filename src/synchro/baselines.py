@@ -9,6 +9,10 @@ from dataclasses import dataclass
 from .automaton import Automaton, Word, _bit_members
 from .results import InstanceTooLarge, NotSynchronizing, SearchResult
 
+# Largest state count exact_shortest accepts by default: the power automaton
+# it explores can have 2^n subsets.
+EXACT_MAX_STATES = 20
+
 
 @dataclass
 class PairTable:
@@ -118,7 +122,9 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
     )
 
 
-def exact_shortest(a: Automaton, max_states: int = 20) -> tuple[int, Word]:
+def exact_shortest(
+    a: Automaton, max_states: int = EXACT_MAX_STATES
+) -> tuple[int, Word]:
     """Exact shortest reset length and one witness word, via forward BFS in
     the power automaton from the full state set. Limited to small n since the
     reachable subset space can be exponential."""

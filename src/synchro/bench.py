@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
 from .automaton import random_automaton
-from .baselines import eppstein_greedy, exact_shortest
+from .baselines import EXACT_MAX_STATES, eppstein_greedy, exact_shortest
 from .results import NotSynchronizing
 from .search import UNBOUNDED, log_cap, synchronize
 
@@ -80,6 +80,10 @@ class ExperimentConfig:
             raise ValueError("need jobs >= 1")
         for tag in self.algorithms:
             parse_algorithm(tag)
+        if "exact" in self.algorithms and max(self.ns) > EXACT_MAX_STATES:
+            raise ValueError(
+                f"exact handles n <= {EXACT_MAX_STATES}, got n={max(self.ns)}"
+            )
 
 
 def trial_seed(base: int, n: int, trial: int) -> int:

@@ -22,8 +22,8 @@ class SearchResult:
 
     ``frontier_sizes[l]`` is the frontier size after trimming at level ``l``
     (index 0 = start singletons); empty for searches without a frontier.
-    ``level_ops`` counts, per level, the preimage member steps plus one per
-    dedup probe, for complexity checks. ``record`` is the goal frontier
+    ``level_ops`` counts, per level, the preimage table lookups (ceil(n/8)
+    per preimage) plus one per dedup probe, for complexity checks. ``record`` is the goal frontier
     record when the word came out of the inverse search.
     """
 

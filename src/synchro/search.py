@@ -123,9 +123,14 @@ def cutoff_ibfs(a: Automaton, params: SearchParams) -> Optional[SearchResult]:
     # Frontier records are plain (bits, letter, parent) tuples; the
     # FrontierRecord chain is built for the goal only.
     full = m.full_bits
+    nbytes = (n + 7) // 8  # table lookups per preimage_bits call
     frontier = [(s.bits, None, None) for s in start_set(m, params.start_mode)]
     sizes = [len(frontier)]
     level_ops: list[int] = []
+    # Brent cycle check: a level's mask list (canonical, as take_largest
+    # orders it) fixes every later level, so if it repeats the mask list
+    # saved at the last power-of-two level, no later level reaches the goal.
+    checkpoint = None
 
     for level in range(1, params.maxlen + 1):
         trie = SetTrie(n)
@@ -133,10 +138,9 @@ def cutoff_ibfs(a: Automaton, params: SearchParams) -> Optional[SearchResult]:
         goal = None
         for rec in frontier:
             sbits = rec[0]
-            card = sbits.bit_count()
             for letter in range(k):
                 pbits = m.preimage_bits(sbits, letter)
-                ops += card
+                ops += nbytes
                 if pbits == 0:
                     continue
                 if pbits == full:
@@ -160,10 +164,16 @@ def cutoff_ibfs(a: Automaton, params: SearchParams) -> Optional[SearchResult]:
                 record=record,
             )
         cap = len(trie) if params.maxsize is UNBOUNDED else params.maxsize
-        frontier = [rec for _, rec in trie.take_largest(cap)] if len(trie) else []
+        taken = trie.take_largest(cap) if len(trie) else []
+        frontier = [rec for _, rec in taken]
         sizes.append(len(frontier))
         if not frontier:
             break
+        masks = [bits for bits, _ in taken]
+        if masks == checkpoint:
+            break
+        if level & (level - 1) == 0:
+            checkpoint = masks
     return None
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from synchro import (
     Automaton,
@@ -104,6 +105,45 @@ class TestImagePreimage:
                 assert set(a.image(s, letter).members()) == brute_image(
                     a, s.members(), letter
                 )
+
+
+@st.composite
+def automaton_and_masks(draw):
+    # state counts on both sides of byte and machine-word boundaries
+    n = draw(st.sampled_from([1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 100, 130]))
+    k = draw(st.sampled_from([1, 2, 3]))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), min_size=k, max_size=k),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    full = (1 << n) - 1
+    masks = draw(st.lists(st.integers(0, full), max_size=8))
+    return Automaton(rows), [0, full, *masks]
+
+
+def member_walk_preimage(a, bits, letter):
+    """OR of the inverse masks of the members of ``bits``, one at a time."""
+    out = 0
+    for q in range(a.n):
+        if bits >> q & 1:
+            out |= a._inverse()[letter][q]
+    return out
+
+
+@given(automaton_and_masks(), st.booleans())
+def test_preimage_kernel_matches_member_walk(case, inverse_first):
+    a, masks = case
+    if inverse_first:
+        a.build_inverse()  # else the first preimage_bits call builds both
+    for letter in range(a.k):
+        for bits in masks:
+            expect = member_walk_preimage(a, bits, letter)
+            assert a.preimage_bits(bits, letter) == expect
+            s = StateSet.from_bits(a.n, bits)
+            assert a.preimage(s, letter) == StateSet.from_bits(a.n, expect)
 
 
 class TestSynchronizingWord:

@@ -126,8 +126,9 @@ def test_bench_to_stdout(capsys):
         (("run", "--cerny", "4", "--maxsize", "0"), {}),
         (("run", "--cerny", "4", "--maxlen", "-1"), {}),
         (("bench", "--n", "5", "--trials", "1"), {"SYNCHRO_JOBS": "abc"}),
+        (("bench", "--n", "30", "--trials", "1", "--algos", "exact"), {}),
     ],
-    ids=["maxsize-0", "maxlen-negative", "jobs-not-an-integer"],
+    ids=["maxsize-0", "maxlen-negative", "jobs-not-an-integer", "exact-n-too-large"],
 )
 def test_bad_input_exits_with_error_not_traceback(capsys, monkeypatch, argv, env):
     for name, value in env.items():

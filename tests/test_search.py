@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from synchro import (
@@ -66,6 +68,16 @@ class TestCutoffIbfs:
     def test_never_finds_word_for_unsynchronizable(self):
         res = cutoff_ibfs(TWO_PERMUTATIONS, SearchParams(maxlen=50, maxsize=UNBOUNDED))
         assert res is None
+
+    @pytest.mark.parametrize("maxsize", [UNBOUNDED, 1], ids=["unbounded", "cap-1"])
+    def test_repeating_frontier_ends_search(self, maxsize):
+        # two disjoint 2-cycles: the frontier masks cycle, so the search must
+        # stop long before maxlen instead of walking 10^9 levels
+        a = Automaton([[1, 1], [0, 0], [3, 3], [2, 2]])
+        t0 = time.perf_counter()
+        res = cutoff_ibfs(a, SearchParams(maxlen=10**9, maxsize=maxsize))
+        assert res is None
+        assert time.perf_counter() - t0 < 0.5
 
     @pytest.mark.parametrize("seed", range(30))
     def test_unbounded_matches_exact_oracle(self, seed):
