@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 
-from .automaton import Automaton, Word, _bit_members
+from .automaton import Automaton, _bit_members
 from .results import InstanceTooLarge, NotSynchronizing, SearchResult
 
 # Largest state count exact_shortest accepts by default: the power automaton
@@ -79,10 +78,9 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
     """Greedy pair merging: repeatedly merge the pair of current states with
     the shortest merging word (ties: lexicographically smallest pair) until a
     single state remains. Raises NotSynchronizing if some pair never merges."""
-    t0 = time.perf_counter()
     n = a.n
     if n == 1:
-        return SearchResult(0, (), "eppstein", elapsed=time.perf_counter() - t0)
+        return SearchResult(0, (), "eppstein")
     table = build_pair_table(a)
     if not table.complete:
         raise NotSynchronizing("some state pair has no merging word")
@@ -117,22 +115,18 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
             p = rows[p][letter]
             q = rows[q][letter]
         members = _bit_members(bits)
-    return SearchResult(
-        len(word), tuple(word), "eppstein", elapsed=time.perf_counter() - t0
-    )
+    return SearchResult(len(word), tuple(word), "eppstein")
 
 
-def exact_shortest(
-    a: Automaton, max_states: int = EXACT_MAX_STATES
-) -> tuple[int, Word]:
-    """Exact shortest reset length and one witness word, via forward BFS in
-    the power automaton from the full state set. Limited to small n since the
-    reachable subset space can be exponential."""
+def exact_shortest(a: Automaton, max_states: int = EXACT_MAX_STATES) -> SearchResult:
+    """A shortest reset word, via forward BFS in the power automaton from the
+    full state set. Limited to small n since the reachable subset space can
+    be exponential."""
     if a.n > max_states:
         raise InstanceTooLarge(f"n={a.n} exceeds exact-search limit {max_states}")
     full = a.full_bits
     if a.n == 1:
-        return 0, ()
+        return SearchResult(0, (), "exact")
     parent: dict[int, tuple[int, int] | None] = {full: None}
     queue: deque[int] = deque([full])
     k = a.k
@@ -151,6 +145,6 @@ def exact_shortest(
                     word.append(letter)
                     cur = prev
                 word.reverse()
-                return len(word), tuple(word)
+                return SearchResult(len(word), tuple(word), "exact")
             queue.append(nxt)
     raise NotSynchronizing("no singleton reachable from the full state set")

@@ -1,10 +1,13 @@
-"""Benchmark harness: the same random automata across a matrix of algorithms.
+"""Algorithm tags, the one algorithm dispatch (`solve`), and the benchmark
+harness: the same random automata across a matrix of algorithms.
 
-Every (n, trial) pair gets one automaton, generated from a seed derived
-deterministically from the experiment seed, and every configured algorithm
-runs on that same automaton. Cutoff-search timings include the preceding
-Eppstein run. Non-synchronizing samples are recorded with length -1 and
-excluded from mean-length summaries.
+`synchro run` and `synchro bench` both run algorithms through `solve`, so
+they share one tag grammar. Every (n, trial) pair gets one automaton,
+generated from a seed derived deterministically from the experiment seed,
+and every configured algorithm runs on that same automaton. ``time_s`` is
+the wall time around the `solve` call, so cutoff-search timings include the
+preceding Eppstein run. Non-synchronizing samples are recorded with length
+-1 and excluded from mean-length summaries.
 """
 
 from __future__ import annotations
@@ -13,13 +16,13 @@ import csv
 import io
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, TextIO
 
-from .automaton import random_automaton
+from .automaton import Automaton, random_automaton
 from .baselines import EXACT_MAX_STATES, eppstein_greedy, exact_shortest
-from .results import NotSynchronizing
-from .search import UNBOUNDED, log_cap, synchronize
+from .results import NotSynchronizing, SearchResult
+from .search import UNBOUNDED, SearchParams, cutoff_ibfs, log_cap, synchronize
 
 CSV_COLUMNS = ("n", "k", "trial", "seed", "algorithm", "length", "time_s", "frontier_peak")
 
@@ -39,11 +42,16 @@ def parse_algorithm(tag: str) -> tuple[str, Optional[str]]:
         return name, None
     if not spec:
         raise ValueError(f"cutoff-ibfs needs a maxsize spec, e.g. {tag}:n")
-    if spec not in ("log", "n", "unbounded") and not spec.isdigit():
-        raise ValueError(f"bad maxsize spec {spec!r} in {tag!r}")
-    if spec.isdigit() and int(spec) < 1:
-        raise ValueError(f"explicit maxsize must be >= 1: {tag!r}")
+    check_maxsize(spec)
     return name, spec
+
+
+def check_maxsize(spec: str) -> None:
+    """Raise ValueError unless spec is log, n, unbounded or an integer >= 1."""
+    if not (spec in ("log", "n", "unbounded") or (spec.isdigit() and int(spec) >= 1)):
+        raise ValueError(
+            f"bad maxsize {spec!r}: use log, n, unbounded or an integer >= 1"
+        )
 
 
 def resolve_maxsize(spec: str, n: int) -> Optional[int]:
@@ -54,6 +62,33 @@ def resolve_maxsize(spec: str, n: int) -> Optional[int]:
     if spec == "unbounded":
         return UNBOUNDED
     return int(spec)
+
+
+def solve(
+    a: Automaton,
+    tag: str,
+    *,
+    maxlen: Optional[int] = None,
+    start_mode: str = "all",
+    permute_by_indegree: bool = False,
+) -> Optional[SearchResult]:
+    """Run the algorithm a tag names on ``a``. A cutoff-ibfs tag runs
+    `synchronize`, or with ``maxlen`` the inverse BFS alone up to that
+    length, returning None if it finds no word; "eppstein" and "exact" ignore
+    the keywords. Raises NotSynchronizing, and InstanceTooLarge from exact."""
+    name, spec = parse_algorithm(tag)
+    if name == "eppstein":
+        return eppstein_greedy(a)
+    if name == "exact":
+        return exact_shortest(a)
+    maxsize = resolve_maxsize(spec, a.n)  # type: ignore[arg-type]
+    if maxlen is None:
+        return synchronize(
+            a, maxsize, start_mode=start_mode, permute_by_indegree=permute_by_indegree
+        )
+    return cutoff_ibfs(
+        a, SearchParams(maxlen, maxsize, start_mode, permute_by_indegree)
+    )
 
 
 @dataclass
@@ -120,27 +155,17 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int) -> list[TrialRow]:
     a = random_automaton(n, cfg.k, seed)
     rows = []
     for tag in cfg.algorithms:
-        name, spec = parse_algorithm(tag)
         t0 = time.perf_counter()
-        length = -1
-        peak = 0
         try:
-            if name == "eppstein":
-                res = eppstein_greedy(a)
-                length = res.length
-            elif name == "exact":
-                length, _ = exact_shortest(a)
-            else:
-                res = synchronize(
-                    a,
-                    resolve_maxsize(spec, n),  # type: ignore[arg-type]
-                    start_mode=cfg.start_mode,
-                    permute_by_indegree=cfg.permute_by_indegree,
-                )
-                length = res.length
-                peak = res.frontier_peak()
+            res = solve(
+                a,
+                tag,
+                start_mode=cfg.start_mode,
+                permute_by_indegree=cfg.permute_by_indegree,
+            )
+            length, peak = res.length, res.frontier_peak()
         except NotSynchronizing:
-            pass
+            length, peak = -1, 0
         rows.append(
             TrialRow(n, cfg.k, trial, seed, tag, length, time.perf_counter() - t0, peak)
         )
@@ -157,7 +182,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRow]:
     position) regardless of execution order."""
     tasks = [(cfg, n, trial) for n in cfg.ns for trial in range(cfg.trials)]
     if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # fork starts every worker at the first submit, so start no more
+        # workers than there are trials
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks))) as pool:
             chunks = list(pool.map(_trial_worker, tasks, chunksize=4))
     else:
         chunks = [run_trial(cfg, n, trial) for cfg, n, trial in tasks]

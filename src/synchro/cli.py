@@ -26,10 +26,11 @@ from .automaton import (
     parse_automaton,
     random_automaton,
 )
-from .baselines import eppstein_greedy, exact_shortest
-from .bench import ExperimentConfig, format_summary, run_experiment, write_csv
+from .bench import (
+    KNOWN_ALGORITHMS, ExperimentConfig, check_maxsize, format_summary,
+    run_experiment, solve, write_csv,
+)
 from .results import InstanceTooLarge, NotSynchronizing, SearchResult
-from .search import SearchParams, UNBOUNDED, cutoff_ibfs, synchronize
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -55,10 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="uniformly random automaton (see --seed)",
     )
     run.add_argument("--seed", type=int, default=0, help="seed for --random")
-    run.add_argument(
-        "--algo", default="cutoff-ibfs",
-        choices=("eppstein", "cutoff-ibfs", "exact"),
-    )
+    run.add_argument("--algo", default="cutoff-ibfs", choices=KNOWN_ALGORITHMS)
     run.add_argument(
         "--maxsize", default="n",
         help="frontier cap for cutoff-ibfs: log, n, unbounded, or an integer",
@@ -98,19 +96,7 @@ def _load_automaton(args) -> Automaton:
     return random_automaton(n, k, args.seed)
 
 
-def _resolve_maxsize(spec: str, n: int) -> Optional[int]:
-    from .bench import resolve_maxsize
-
-    if spec not in ("log", "n", "unbounded") and not (
-        spec.isdigit() and int(spec) >= 1
-    ):
-        raise ValueError(
-            f"bad --maxsize {spec!r}: use log, n, unbounded or an integer >= 1"
-        )
-    return resolve_maxsize(spec, n)
-
-
-def _print_report(res: SearchResult, show_word: bool) -> None:
+def _print_report(res: SearchResult, show_word: bool, elapsed: float) -> None:
     print(f"algorithm: {res.algorithm}")
     print(f"length: {res.length}")
     if show_word:
@@ -118,7 +104,7 @@ def _print_report(res: SearchResult, show_word: bool) -> None:
     if res.frontier_sizes:
         print(f"frontier sizes: {res.frontier_sizes}")
         print(f"frontier peak: {res.frontier_peak()}")
-    print(f"time_s: {res.elapsed:.6f}")
+    print(f"time_s: {elapsed:.6f}")
 
 
 def _cmd_run(args) -> int:
@@ -129,43 +115,22 @@ def _cmd_run(args) -> int:
         return EXIT_ERROR
 
     try:
-        maxsize = _resolve_maxsize(args.maxsize, a.n)
+        check_maxsize(args.maxsize)
         if args.maxlen is not None and args.maxlen < 0:
             raise ValueError(f"bad --maxlen {args.maxlen}: must be >= 0")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
+    tag = f"cutoff-ibfs:{args.maxsize}" if args.algo == "cutoff-ibfs" else args.algo
     print(f"n: {a.n}  k: {a.k}")
     try:
-        if args.algo == "eppstein":
-            res = eppstein_greedy(a)
-        elif args.algo == "exact":
-            t0 = time.perf_counter()
-            length, word = exact_shortest(a)
-            res = SearchResult(
-                length, word, "exact", elapsed=time.perf_counter() - t0
-            )
-        elif args.maxlen is not None:
-            res = cutoff_ibfs(
-                a,
-                SearchParams(
-                    maxlen=args.maxlen,
-                    maxsize=maxsize,
-                    start_mode=args.start_mode,
-                    permute_by_indegree=args.permute_indegree,
-                ),
-            )
-            if res is None:
-                print(f"no reset word of length <= {args.maxlen} found")
-                return EXIT_NOT_FOUND
-        else:
-            res = synchronize(
-                a,
-                maxsize,
-                start_mode=args.start_mode,
-                permute_by_indegree=args.permute_indegree,
-            )
+        t0 = time.perf_counter()
+        res = solve(
+            a, tag, maxlen=args.maxlen, start_mode=args.start_mode,
+            permute_by_indegree=args.permute_indegree,
+        )
+        elapsed = time.perf_counter() - t0
     except NotSynchronizing:
         print("not synchronizing")
         return EXIT_NOT_SYNCHRONIZING
@@ -173,7 +138,10 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    _print_report(res, args.word)
+    if res is None:
+        print(f"no reset word of length <= {args.maxlen} found")
+        return EXIT_NOT_FOUND
+    _print_report(res, args.word, elapsed)
     return EXIT_OK
 
 

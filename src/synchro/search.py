@@ -9,7 +9,6 @@ length, reconstructed from per-record letter/predecessor links.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -104,21 +103,13 @@ def _as_frontier_record(n: int, rec: tuple) -> FrontierRecord:
 def cutoff_ibfs(a: Automaton, params: SearchParams) -> Optional[SearchResult]:
     """Run the cutoff inverse BFS; None if no reset word of length <= maxlen
     was found within the frontier budget."""
-    t0 = time.perf_counter()
     if params.permute_by_indegree:
         m, _ = indegree_permutation(a)
     else:
         m = a
     n, k = m.n, m.k
     if n == 1:
-        return SearchResult(
-            0,
-            (),
-            "cutoff-ibfs",
-            frontier_sizes=[1],
-            elapsed=time.perf_counter() - t0,
-            params=params,
-        )
+        return SearchResult(0, (), "cutoff-ibfs", frontier_sizes=[1])
 
     # Frontier records are plain (bits, letter, parent) tuples; the
     # FrontierRecord chain is built for the goal only.
@@ -158,8 +149,6 @@ def cutoff_ibfs(a: Automaton, params: SearchParams) -> Optional[SearchResult]:
                 reconstruct_word(record),
                 "cutoff-ibfs",
                 frontier_sizes=sizes,
-                elapsed=time.perf_counter() - t0,
-                params=params,
                 level_ops=level_ops,
                 record=record,
             )
@@ -190,10 +179,8 @@ def synchronize(
     exceeds the Eppstein length."""
     from .baselines import eppstein_greedy
 
-    t0 = time.perf_counter()
     bound = eppstein_greedy(a)
     if bound.length == 0:
-        bound.elapsed = time.perf_counter() - t0
         return bound
     params = SearchParams(
         maxlen=bound.length - 1,
@@ -202,10 +189,7 @@ def synchronize(
         permute_by_indegree=permute_by_indegree,
     )
     result = cutoff_ibfs(a, params)
-    if result is None:
-        result = bound
-    result.elapsed = time.perf_counter() - t0
-    return result
+    return bound if result is None else result
 
 
 __all__ = [

@@ -38,11 +38,11 @@ def small_pool():
         for seed in count():
             a = random_automaton(n, k, seed)
             try:
-                length, word = exact_shortest(a)
+                res = exact_shortest(a)
             except NotSynchronizing:
                 continue
-            assert a.is_synchronizing_word(word)
-            pool.append((a, length))
+            assert a.is_synchronizing_word(res.word)
+            pool.append((a, res.length))
             found += 1
             if found == 50:
                 break
@@ -176,8 +176,12 @@ def test_criterion_7_complexity_smoke():
     rate = {}
     for c in (8, 16, 32, 64):
         r = cutoff_ibfs(b, SearchParams(maxlen=bound - 1, maxsize=c))
-        assert r is not None and r.level_ops
-        rate[c] = sum(r.level_ops) / len(r.level_ops) / c
+        assert r is not None
+        # level 1 expands every start singleton whatever c is, so measure
+        # from level 2 on
+        ops = r.level_ops[1:]
+        assert ops
+        rate[c] = sum(ops) / len(ops) / c
     base = rate[8]
     for c, value in rate.items():
         assert 0.5 <= value / base <= 2.0, (c, value / base)

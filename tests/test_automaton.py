@@ -149,9 +149,9 @@ def test_preimage_kernel_matches_member_walk(case, inverse_first):
 class TestSynchronizingWord:
     def test_known_shortest_word_verifies(self):
         a = cerny(4)
-        length, word = exact_shortest(a)
-        assert length == 9
-        assert a.is_synchronizing_word(word)
+        res = exact_shortest(a)
+        assert res.length == 9
+        assert a.is_synchronizing_word(res.word)
 
     def test_empty_word(self):
         assert not cerny(4).is_synchronizing_word(())
@@ -171,7 +171,8 @@ class TestCerny:
     def test_n2_shortest_is_b(self):
         a = cerny(2)
         assert a.is_synchronizing_word((1,))
-        assert exact_shortest(a) == (1, (1,))
+        res = exact_shortest(a)
+        assert (res.length, res.word) == (1, (1,))
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):

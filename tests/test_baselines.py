@@ -60,16 +60,16 @@ class TestEppsteinGreedy:
     def test_dominated_by_exact_and_verifies(self, seed):
         a = random_automaton(8, 2, seed)
         try:
-            exact_len, exact_word = exact_shortest(a)
+            exact = exact_shortest(a)
         except NotSynchronizing:
             with pytest.raises(NotSynchronizing):
                 eppstein_greedy(a)
             return
         res = eppstein_greedy(a)
-        assert res.length >= exact_len
+        assert res.length >= exact.length
         assert res.length < a.n**3
         assert a.is_synchronizing_word(res.word)
-        assert a.is_synchronizing_word(exact_word)
+        assert a.is_synchronizing_word(exact.word)
 
     def test_deterministic(self):
         a = random_automaton(40, 2, seed=5)
@@ -78,10 +78,11 @@ class TestEppsteinGreedy:
 
 class TestExactShortest:
     def test_cerny4(self):
-        assert exact_shortest(cerny(4))[0] == 9
+        assert exact_shortest(cerny(4)).length == 9
 
     def test_single_state(self):
-        assert exact_shortest(Automaton([[0]])) == (0, ())
+        res = exact_shortest(Automaton([[0]]))
+        assert (res.algorithm, res.length, res.word) == ("exact", 0, ())
 
     def test_not_synchronizing(self):
         with pytest.raises(NotSynchronizing):
@@ -94,17 +95,17 @@ class TestExactShortest:
 
     def test_minimality_on_cerny4_by_enumeration(self):
         a = cerny(4)
-        length, word = exact_shortest(a)
-        assert a.is_synchronizing_word(word)
-        assert no_shorter_reset_word(a, length)
+        res = exact_shortest(a)
+        assert a.is_synchronizing_word(res.word)
+        assert no_shorter_reset_word(a, res.length)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_minimality_on_random_n5_by_enumeration(self, seed):
         a = random_automaton(5, 2, seed)
         try:
-            length, word = exact_shortest(a)
+            res = exact_shortest(a)
         except NotSynchronizing:
             return
-        assert length <= 16
-        assert a.is_synchronizing_word(word)
-        assert no_shorter_reset_word(a, length)
+        assert res.length <= 16
+        assert a.is_synchronizing_word(res.word)
+        assert no_shorter_reset_word(a, res.length)

@@ -1,5 +1,8 @@
 import pytest
 
+from synchro import bench
+from synchro.automaton import Automaton, cerny, random_automaton
+from synchro.baselines import eppstein_greedy, exact_shortest
 from synchro.bench import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -7,10 +10,20 @@ from synchro.bench import (
     resolve_maxsize,
     rows_to_csv,
     run_experiment,
+    solve,
     summarize,
     trial_seed,
 )
-from synchro.search import UNBOUNDED
+from synchro.results import NotSynchronizing
+from synchro.search import UNBOUNDED, log_cap, synchronize
+
+TWO_CYCLES = Automaton([[1, 1], [0, 0], [3, 3], [2, 2]])  # not synchronizing
+# small automata on which the cutoff search improves on Eppstein for some
+# caps and falls back for others
+SOLVE_AUTOMATA = [
+    random_automaton(n, k, seed)
+    for n, k, seed in ((4, 2, 0), (7, 2, 1), (9, 3, 2), (12, 2, 3), (12, 2, 8))
+] + [cerny(5), TWO_CYCLES]
 
 
 class TestAlgorithmTags:
@@ -33,6 +46,60 @@ class TestAlgorithmTags:
         assert resolve_maxsize("n", 100) == 100
         assert resolve_maxsize("unbounded", 100) is UNBOUNDED
         assert resolve_maxsize("12", 100) == 12
+
+
+def _outcome(call):
+    try:
+        return call().fingerprint()
+    except NotSynchronizing:
+        return "not synchronizing"
+
+
+class TestSolve:
+    @pytest.mark.parametrize(
+        "tag, kwargs, direct",
+        [
+            ("eppstein", {}, eppstein_greedy),
+            ("exact", {}, exact_shortest),
+            ("cutoff-ibfs:log", {}, lambda a: synchronize(a, log_cap(a.n))),
+            ("cutoff-ibfs:n", {}, lambda a: synchronize(a, a.n)),
+            ("cutoff-ibfs:unbounded", {}, lambda a: synchronize(a, UNBOUNDED)),
+            ("cutoff-ibfs:3", {}, lambda a: synchronize(a, 3)),
+            (
+                "cutoff-ibfs:3",
+                {"start_mode": "high-indegree"},
+                lambda a: synchronize(a, 3, start_mode="high-indegree"),
+            ),
+            (
+                "cutoff-ibfs:2",
+                {"permute_by_indegree": True},
+                lambda a: synchronize(a, 2, permute_by_indegree=True),
+            ),
+        ],
+        ids=[
+            "eppstein",
+            "exact",
+            "log",
+            "n",
+            "unbounded",
+            "3",
+            "3-high-indegree",
+            "2-permuted",
+        ],
+    )
+    def test_matches_direct_call(self, tag, kwargs, direct):
+        for a in SOLVE_AUTOMATA:
+            got = _outcome(lambda: solve(a, tag, **kwargs))
+            assert got == _outcome(lambda: direct(a))
+
+    def test_maxlen_runs_the_search_alone(self):
+        assert solve(cerny(4), "cutoff-ibfs:4", maxlen=8) is None
+        assert solve(cerny(4), "cutoff-ibfs:4", maxlen=9).length == 9
+
+    @pytest.mark.parametrize("tag", ["eppstein", "exact", "cutoff-ibfs:n"])
+    def test_not_synchronizing_propagates(self, tag):
+        with pytest.raises(NotSynchronizing):
+            solve(TWO_CYCLES, tag)
 
 
 class TestExperiment:
@@ -110,6 +177,27 @@ class TestExperiment:
         )
         key = lambda rows: [(r.n, r.trial, r.algorithm, r.length, r.seed) for r in rows]
         assert key(run_experiment(serial)) == key(run_experiment(parallel))
+
+    def test_pool_no_larger_than_task_count(self, monkeypatch):
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+        cfg = ExperimentConfig(ns=(5,), trials=2, algorithms=("eppstein",), jobs=8)
+        assert len(run_experiment(cfg)) == 2
+        assert seen == [2]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -127,8 +127,17 @@ def test_bench_to_stdout(capsys):
         (("run", "--cerny", "4", "--maxlen", "-1"), {}),
         (("bench", "--n", "5", "--trials", "1"), {"SYNCHRO_JOBS": "abc"}),
         (("bench", "--n", "30", "--trials", "1", "--algos", "exact"), {}),
+        (("run", "--cerny", "4", "--algo", "eppstein", "--maxsize", "0"), {}),
+        (("run", "--random", "21", "2", "--algo", "exact"), {}),
     ],
-    ids=["maxsize-0", "maxlen-negative", "jobs-not-an-integer", "exact-n-too-large"],
+    ids=[
+        "maxsize-0",
+        "maxlen-negative",
+        "jobs-not-an-integer",
+        "exact-n-too-large",
+        "eppstein-maxsize-0",
+        "run-exact-n-too-large",
+    ],
 )
 def test_bad_input_exits_with_error_not_traceback(capsys, monkeypatch, argv, env):
     for name, value in env.items():
