@@ -18,11 +18,9 @@ from .baselines import PairTable, build_pair_table, eppstein_greedy, exact_short
 from .results import InstanceTooLarge, NotSynchronizing, SearchResult
 from .search import (
     UNBOUNDED,
-    FrontierRecord,
     SearchParams,
     cutoff_ibfs,
     log_cap,
-    reconstruct_word,
     synchronize,
 )
 from .settrie import SetTrie
@@ -46,11 +44,9 @@ __all__ = [
     "NotSynchronizing",
     "SearchResult",
     "UNBOUNDED",
-    "FrontierRecord",
     "SearchParams",
     "cutoff_ibfs",
     "log_cap",
-    "reconstruct_word",
     "synchronize",
     "SetTrie",
 ]

@@ -298,8 +298,8 @@ def _sink_component(a: Automaton) -> list[int]:
 START_MODES = ("all", "sink", "high-indegree")
 
 
-def start_set(a: Automaton, mode: str = "all") -> list[StateSet]:
-    """Singletons to seed the inverse search with.
+def start_set(a: Automaton, mode: str = "all") -> list[int]:
+    """States, in increasing order, whose singletons seed the inverse search.
 
     ``sink`` keeps only states of the unique sink SCC; ``high-indegree`` keeps
     states with in-degree >= 2 on some letter. A restricted mode that comes up
@@ -319,7 +319,7 @@ def start_set(a: Automaton, mode: str = "all") -> list[StateSet]:
         states = list(range(a.n))
     if not states:
         states = list(range(a.n))
-    return [StateSet(a.n, (q,)) for q in states]
+    return states
 
 
 def indegree_permutation(a: Automaton) -> tuple[Automaton, tuple[int, ...]]:

@@ -74,21 +74,27 @@ def solve(
 ) -> Optional[SearchResult]:
     """Run the algorithm a tag names on ``a``. A cutoff-ibfs tag runs
     `synchronize`, or with ``maxlen`` the inverse BFS alone up to that
-    length, returning None if it finds no word; "eppstein" and "exact" ignore
-    the keywords. Raises NotSynchronizing, and InstanceTooLarge from exact."""
+    length; "eppstein" and "exact" ignore the start mode and permutation.
+    Returns None if the word found is longer than ``maxlen``, whatever the
+    algorithm. Raises NotSynchronizing, and InstanceTooLarge from exact."""
     name, spec = parse_algorithm(tag)
     if name == "eppstein":
-        return eppstein_greedy(a)
-    if name == "exact":
-        return exact_shortest(a)
-    maxsize = resolve_maxsize(spec, a.n)  # type: ignore[arg-type]
-    if maxlen is None:
-        return synchronize(
-            a, maxsize, start_mode=start_mode, permute_by_indegree=permute_by_indegree
-        )
-    return cutoff_ibfs(
-        a, SearchParams(maxlen, maxsize, start_mode, permute_by_indegree)
-    )
+        res = eppstein_greedy(a)
+    elif name == "exact":
+        res = exact_shortest(a)
+    else:
+        maxsize = resolve_maxsize(spec, a.n)  # type: ignore[arg-type]
+        if maxlen is None:
+            res = synchronize(
+                a, maxsize, start_mode=start_mode, permute_by_indegree=permute_by_indegree
+            )
+        else:
+            res = cutoff_ibfs(
+                a, SearchParams(maxlen, maxsize, start_mode, permute_by_indegree)
+            )
+    if res is not None and maxlen is not None and res.length > maxlen:
+        return None
+    return res
 
 
 @dataclass

@@ -63,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--maxlen", type=int, default=None,
-        help="run cutoff-ibfs standalone up to this length instead of using "
-        "the Eppstein bound",
+        help="longest word to accept (exit 3 if longer); cutoff-ibfs then "
+        "runs standalone up to this length instead of using the Eppstein bound",
     )
     run.add_argument("--word", action="store_true", help="print the found word")
     run.add_argument("--start-mode", default="all", choices=START_MODES)
@@ -164,16 +164,19 @@ def _cmd_bench(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    rows = run_experiment(cfg)
-    if args.out is not None:
+    if args.out is None:
+        rows = run_experiment(cfg)
+        write_csv(rows, sys.stdout)
+    else:
+        # open the file first, so a bad path fails before the trials run
         try:
-            with open(args.out, "w") as fh:
-                write_csv(rows, fh)
+            fh = open(args.out, "w")
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
-    else:
-        write_csv(rows, sys.stdout)
+        with fh:
+            rows = run_experiment(cfg)
+            write_csv(rows, fh)
     print(f"# seed={cfg.seed} jobs={cfg.jobs}")
     print(format_summary(rows), end="")
     return EXIT_OK

@@ -3,12 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
 
 from .automaton import Word
-
-if TYPE_CHECKING:
-    from .search import FrontierRecord
 
 
 class NotSynchronizing(Exception):
@@ -28,8 +24,6 @@ class SearchResult:
     (index 0 = start singletons); empty for searches without a frontier.
     ``level_ops`` counts, per level, the preimage table lookups (ceil(n/8)
     per preimage) plus one per dedup probe, for complexity checks.
-    ``record`` is the goal frontier record when the word came out of the
-    inverse search.
     """
 
     length: int
@@ -37,7 +31,6 @@ class SearchResult:
     algorithm: str
     frontier_sizes: list[int] = field(default_factory=list)
     level_ops: list[int] = field(default_factory=list)
-    record: Optional[FrontierRecord] = None
 
     def frontier_peak(self) -> int:
         return max(self.frontier_sizes, default=0)

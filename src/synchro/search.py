@@ -3,7 +3,7 @@
 The search grows sets from singletons toward the full state set by taking
 preimages, keeping only the ``maxsize`` largest distinct sets per level. The
 first level whose preimages reach the full set yields a reset word of that
-length, reconstructed from per-record letter/predecessor links.
+length, read off the goal's (bits, letter, parent) record chain.
 """
 
 from __future__ import annotations
@@ -12,14 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .automaton import (
-    START_MODES,
-    Automaton,
-    StateSet,
-    Word,
-    indegree_permutation,
-    start_set,
-)
+from .automaton import START_MODES, Automaton, indegree_permutation, start_set
 from .results import NotSynchronizing, SearchResult
 from .settrie import SetTrie
 
@@ -48,58 +41,6 @@ class SearchParams:
             raise ValueError(f"unknown start mode {self.start_mode!r}")
 
 
-class FrontierRecord:
-    """A frontier set plus how it was derived: the letter whose preimage
-    produced it and the record it came from (both None at level 0)."""
-
-    __slots__ = ("set", "letter", "predecessor", "level")
-
-    def __init__(
-        self,
-        sset: StateSet,
-        letter: Optional[int],
-        predecessor: Optional["FrontierRecord"],
-        level: int,
-    ):
-        self.set = sset
-        self.letter = letter
-        self.predecessor = predecessor
-        self.level = level
-
-    def __repr__(self) -> str:
-        return f"FrontierRecord(level={self.level}, set={self.set!r})"
-
-
-def reconstruct_word(final: FrontierRecord) -> Word:
-    """Reset word from a goal record (one whose set is the full state set).
-
-    Each level's letter was applied as a preimage, so walking predecessors
-    from the goal down to the level-0 singleton emits the letters already in
-    forward application order."""
-    if final.set.cardinality != final.set.n:
-        raise ValueError("word reconstruction needs a goal record (set = Q)")
-    word = []
-    rec = final
-    while rec.predecessor is not None:
-        word.append(rec.letter)
-        rec = rec.predecessor
-    if len(word) != final.level:
-        raise ValueError("predecessor chain length does not match level")
-    return tuple(word)
-
-
-def _as_frontier_record(n: int, rec: tuple) -> FrontierRecord:
-    """The FrontierRecord chain of a (bits, letter, parent) tuple chain."""
-    chain = []
-    while rec is not None:
-        chain.append(rec)
-        rec = rec[2]
-    out = None
-    for lvl, (bits, letter, _) in enumerate(reversed(chain)):
-        out = FrontierRecord(StateSet.from_bits(n, bits), letter, out, lvl)
-    return out
-
-
 def cutoff_ibfs(a: Automaton, params: SearchParams) -> Optional[SearchResult]:
     """Run the cutoff inverse BFS; None if no reset word of length <= maxlen
     was found within the frontier budget."""
@@ -111,11 +52,11 @@ def cutoff_ibfs(a: Automaton, params: SearchParams) -> Optional[SearchResult]:
     if n == 1:
         return SearchResult(0, (), "cutoff-ibfs", frontier_sizes=[1])
 
-    # Frontier records are plain (bits, letter, parent) tuples; the
-    # FrontierRecord chain is built for the goal only.
+    # Frontier records are (bits, letter, parent) tuples, parent None at
+    # level 0; the goal's letters, parent to parent, are the word in order.
     full = m.full_bits
     nbytes = (n + 7) // 8  # table lookups per preimage_bits call
-    frontier = [(s.bits, None, None) for s in start_set(m, params.start_mode)]
+    frontier = [(1 << q, None, None) for q in start_set(m, params.start_mode)]
     sizes = [len(frontier)]
     level_ops: list[int] = []
     # Brent cycle check: a level's mask list (canonical, as take_largest
@@ -143,14 +84,16 @@ def cutoff_ibfs(a: Automaton, params: SearchParams) -> Optional[SearchResult]:
                 break
         level_ops.append(ops + trie.ops)
         if goal is not None:
-            record = _as_frontier_record(n, goal)
+            word = []
+            while goal[2] is not None:
+                word.append(goal[1])
+                goal = goal[2]
             return SearchResult(
                 level,
-                reconstruct_word(record),
+                tuple(word),
                 "cutoff-ibfs",
                 frontier_sizes=sizes,
                 level_ops=level_ops,
-                record=record,
             )
         cap = len(trie) if params.maxsize is UNBOUNDED else params.maxsize
         taken = trie.take_largest(cap) if len(trie) else []
@@ -196,8 +139,6 @@ __all__ = [
     "UNBOUNDED",
     "log_cap",
     "SearchParams",
-    "FrontierRecord",
-    "reconstruct_word",
     "cutoff_ibfs",
     "synchronize",
     "NotSynchronizing",

@@ -96,6 +96,15 @@ class TestSolve:
         assert solve(cerny(4), "cutoff-ibfs:4", maxlen=8) is None
         assert solve(cerny(4), "cutoff-ibfs:4", maxlen=9).length == 9
 
+    @pytest.mark.parametrize(
+        "tag, length", [("eppstein", 10), ("exact", 9), ("cutoff-ibfs:4", 9)]
+    )
+    def test_word_longer_than_maxlen_is_none(self, tag, length):
+        # the same rule for every algorithm: a longer word counts as not found
+        assert solve(cerny(4), tag, maxlen=3) is None
+        assert solve(cerny(4), tag, maxlen=length - 1) is None
+        assert solve(cerny(4), tag, maxlen=length).length == length
+
     @pytest.mark.parametrize("tag", ["eppstein", "exact", "cutoff-ibfs:n"])
     def test_not_synchronizing_propagates(self, tag):
         with pytest.raises(NotSynchronizing):

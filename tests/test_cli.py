@@ -3,7 +3,7 @@ import io
 
 import pytest
 
-from synchro import cerny, serialize_automaton
+from synchro import cerny, cli, serialize_automaton
 from synchro.cli import (
     EXIT_ERROR,
     EXIT_NOT_FOUND,
@@ -68,6 +68,26 @@ def test_not_found_exit_code(capsys):
     assert code == EXIT_NOT_FOUND
 
 
+@pytest.mark.parametrize(
+    "algo, maxlen, expect",
+    [
+        ("eppstein", "3", EXIT_NOT_FOUND),
+        ("eppstein", "10", EXIT_OK),
+        ("exact", "3", EXIT_NOT_FOUND),
+        ("exact", "8", EXIT_NOT_FOUND),
+        ("exact", "9", EXIT_OK),
+    ],
+)
+def test_maxlen_bounds_every_algorithm(capsys, algo, maxlen, expect):
+    # on C_4 Eppstein finds length 10 and the shortest word has length 9
+    code, out, _ = run_cli(
+        capsys, "run", "--cerny", "4", "--algo", algo, "--maxlen", maxlen
+    )
+    assert code == expect
+    if expect == EXIT_NOT_FOUND:
+        assert f"no reset word of length <= {maxlen} found" in out
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("2 2\n3 0\n0 1\n")
@@ -110,6 +130,19 @@ def test_bench_writes_csv_and_summary(tmp_path, capsys):
     }
     assert "# summary" in out
     assert "mean_length" in out
+
+
+def test_bench_bad_out_path_fails_before_the_trials(tmp_path, capsys, monkeypatch):
+    def no_trials(cfg):
+        raise AssertionError("trials ran before the output file was opened")
+
+    monkeypatch.setattr(cli, "run_experiment", no_trials)
+    code, _, err = run_cli(
+        capsys, "bench", "--n", "4", "--trials", "1",
+        "--out", str(tmp_path / "missing-dir" / "rows.csv"),
+    )
+    assert code == EXIT_ERROR
+    assert err.startswith("error: ")
 
 
 def test_bench_to_stdout(capsys):

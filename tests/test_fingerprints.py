@@ -3,14 +3,32 @@
 
 ``EXPECTED`` was computed on the code before the set-trie was rebuilt as a
 bitmask dict, so any change to words, frontier order or frontier sizes on
-this instance set shows up here as a digest mismatch.
+this instance set shows up here as a digest mismatch. ``EXPECTED_SOLVE``
+pins the paths `synchronize` does not take: the standalone `cutoff_ibfs`
+with a ``maxlen`` in every start mode, cap and permutation setting, and
+`solve` with the ``eppstein`` and ``exact`` tags. It was computed on the
+code that still built a ``FrontierRecord`` chain for every returned word.
 """
 
 import hashlib
+from itertools import product
 
-from synchro import NotSynchronizing, cerny, log_cap, random_automaton, synchronize
+from synchro import (
+    UNBOUNDED,
+    Automaton,
+    NotSynchronizing,
+    SearchParams,
+    cerny,
+    cutoff_ibfs,
+    log_cap,
+    random_automaton,
+    synchronize,
+)
+from synchro.automaton import START_MODES
+from synchro.bench import solve
 
 EXPECTED = "7b0e56dab2a9f9a8a76b743d976fccb483f384fc0d8e2107c38beaa37b141414"
+EXPECTED_SOLVE = "a516aeb24cc913842ea6e3110bc3e423517998ade429b73e9d9f1ea01dfdd30c"
 
 
 def _fingerprint(a, cap, **kwargs):
@@ -38,6 +56,39 @@ def fingerprints():
     return out
 
 
+def _outcome(call):
+    try:
+        res = call()
+    except NotSynchronizing:
+        return "not-synchronizing"
+    return "none" if res is None else res.fingerprint()
+
+
+def solve_fingerprints():
+    automata = [random_automaton(n, k, seed) for n, k, seed in (
+        (6, 2, 0), (9, 2, 1), (10, 3, 2), (12, 2, 3), (12, 2, 8), (20, 2, 5)
+    )] + [cerny(6), Automaton([[1, 1], [0, 0], [3, 3], [2, 2]])]
+    out = []
+    for a in automata:
+        for tag in ("eppstein", "exact"):
+            out.append(_outcome(lambda: solve(a, tag)))
+            out.append(_outcome(lambda: solve(a, tag, maxlen=10**6)))
+        settings = product(
+            (3, 2 * a.n), START_MODES, (1, log_cap(a.n), UNBOUNDED), (False, True)
+        )
+        for maxlen, mode, cap, permute in settings:
+            params = SearchParams(maxlen, cap, mode, permute)
+            out.append(_outcome(lambda: cutoff_ibfs(a, params)))
+    return out
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def test_fingerprint_digest_is_unchanged():
-    digest = hashlib.sha256("\n".join(fingerprints()).encode()).hexdigest()
-    assert digest == EXPECTED
+    assert _digest(fingerprints()) == EXPECTED
+
+
+def test_solve_and_standalone_search_digest_is_unchanged():
+    assert _digest(solve_fingerprints()) == EXPECTED_SOLVE

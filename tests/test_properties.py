@@ -1,0 +1,102 @@
+"""Properties of every algorithm on small random automata (n <= 8, k <= 3),
+checked against the exact oracle and the automaton's own transition table."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from synchro import (
+    UNBOUNDED,
+    Automaton,
+    NotSynchronizing,
+    eppstein_greedy,
+    exact_shortest,
+    parse_automaton,
+    serialize_automaton,
+    synchronize,
+)
+from synchro.automaton import START_MODES
+from synchro.bench import solve
+
+TAGS = (
+    "eppstein",
+    "exact",
+    "cutoff-ibfs:1",
+    "cutoff-ibfs:log",
+    "cutoff-ibfs:n",
+    "cutoff-ibfs:unbounded",
+)
+
+examples = settings(max_examples=100, deadline=None)
+
+
+@st.composite
+def automata(draw):
+    n = draw(st.integers(1, 8))
+    k = draw(st.sampled_from([1, 2, 3]))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), min_size=k, max_size=k),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return Automaton(rows)
+
+
+def _exact_length(a):
+    try:
+        return exact_shortest(a).length
+    except NotSynchronizing:
+        return None
+
+
+@examples
+@given(automata(), st.sampled_from(START_MODES), st.booleans())
+def test_every_tag_gives_a_reset_word_of_its_length(a, mode, permute):
+    shortest = _exact_length(a)
+    for tag in TAGS:
+        if shortest is None:
+            with pytest.raises(NotSynchronizing):
+                solve(a, tag, start_mode=mode, permute_by_indegree=permute)
+            continue
+        res = solve(a, tag, start_mode=mode, permute_by_indegree=permute)
+        assert len(res.word) == res.length >= shortest
+        assert a.is_synchronizing_word(res.word)
+
+
+@examples
+@given(automata())
+def test_unbounded_cutoff_is_exact(a):
+    shortest = _exact_length(a)
+    if shortest is not None:
+        assert solve(a, "cutoff-ibfs:unbounded").length == shortest
+
+
+@examples
+@given(automata(), st.sampled_from([1, 2, 3, UNBOUNDED]), st.sampled_from(START_MODES))
+def test_synchronize_never_longer_than_eppstein(a, cap, mode):
+    try:
+        bound = eppstein_greedy(a).length
+    except NotSynchronizing:
+        return
+    assert synchronize(a, cap, start_mode=mode).length <= bound
+
+
+@examples
+@given(automata())
+def test_text_format_round_trip(a):
+    assert parse_automaton(serialize_automaton(a)) == a
+
+
+@examples
+@given(automata(), st.integers(0, 12), st.sampled_from(TAGS))
+def test_solve_respects_maxlen(a, maxlen, tag):
+    try:
+        res = solve(a, tag, maxlen=maxlen)
+    except NotSynchronizing:
+        return
+    if res is not None:
+        assert res.length <= maxlen
+        assert a.is_synchronizing_word(res.word)
+    if tag == "exact":
+        assert (res is None) == (_exact_length(a) > maxlen)

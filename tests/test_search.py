@@ -1,24 +1,25 @@
 import time
+from itertools import product
 
 import pytest
 
 from synchro import (
     Automaton,
-    FrontierRecord,
     NotSynchronizing,
     SearchParams,
-    StateSet,
     UNBOUNDED,
     cerny,
     cutoff_ibfs,
     eppstein_greedy,
     exact_shortest,
+    indegree_permutation,
     log_cap,
     random_automaton,
-    reconstruct_word,
+    start_set,
     synchronize,
 )
-from conftest import brute_word_image
+from synchro.automaton import START_MODES
+from conftest import brute_preimage, brute_word_image
 
 TWO_PERMUTATIONS = Automaton([(1, 2), (2, 0), (0, 1)])
 
@@ -106,24 +107,33 @@ class TestCutoffIbfs:
         assert r1 is not None and r2 is not None
         assert r1.fingerprint() == r2.fingerprint()
 
-    def test_level_semantics_along_goal_chain(self):
-        # the suffix word hanging off any record on the goal chain maps the
-        # record's set to a singleton
-        a = random_automaton(20, 2, seed=4)
-        res = cutoff_ibfs(a, SearchParams(maxlen=100, maxsize=8))
-        assert res is not None and res.record is not None
-        rec = res.record
-        while rec is not None:
-            suffix = []
-            r = rec
-            while r.predecessor is not None:
-                suffix.append(r.letter)
-                r = r.predecessor
-            assert len(suffix) == rec.level
-            assert len(brute_word_image(a, rec.set.members(), suffix)) == 1
-            if rec.predecessor is not None:
-                assert rec.set == a.preimage(rec.predecessor.set, rec.letter)
-            rec = rec.predecessor
+    @pytest.mark.parametrize("n", [6, 12, 25])
+    def test_goal_chain_rebuilt_from_word(self, n):
+        # the search grows P_0 = {image of Q under w} by preimages,
+        # P_l = preimage(P_{l-1}, w[L-l]), and stops at the first level that
+        # reaches Q; rebuild that chain on the user's automaton from the word
+        caps = (1, 3, UNBOUNDED)
+        for seed in range(8):
+            a = random_automaton(n, 2, seed)
+            m, pi = indegree_permutation(a)
+            for mode, cap, permute in product(START_MODES, caps, (False, True)):
+                res = cutoff_ibfs(a, SearchParams(2 * n, cap, mode, permute))
+                if res is None:
+                    continue
+                w = res.word
+                chain = [brute_word_image(a, range(n), w)]
+                for letter in reversed(w):
+                    chain.append(brute_preimage(a, chain[-1], letter))
+                assert chain[-1] == set(range(n))
+                # no proper suffix of the word resets
+                assert all(len(p) < n for p in chain[:-1])
+                assert len(w) == res.length == len(res.frontier_sizes)
+                # the search seeded with the start set of the automaton it
+                # ran on, the relabelled one under permutation
+                (q,) = chain[0]
+                seeds = start_set(m, mode) if permute else start_set(a, mode)
+                assert (pi[q] if permute else q) in seeds
+                assert res.frontier_sizes[0] == len(seeds)
 
     def test_start_modes_and_permutation_still_find_valid_words(self):
         a = random_automaton(25, 2, seed=12)
@@ -140,25 +150,6 @@ class TestCutoffIbfs:
                 )
                 assert res is not None
                 assert a.is_synchronizing_word(res.word)
-
-
-class TestReconstructWord:
-    def test_level_one_goal_over_cerny2(self):
-        a = cerny(2)
-        root = FrontierRecord(StateSet(2, [1]), None, None, 0)
-        goal = FrontierRecord(a.preimage(root.set, 1), 1, root, 1)
-        assert goal.set == StateSet.full(2)
-        assert reconstruct_word(goal) == (1,)
-
-    def test_rejects_non_goal_record(self):
-        with pytest.raises(ValueError):
-            reconstruct_word(FrontierRecord(StateSet(3, [1]), None, None, 0))
-
-    def test_length_equals_level(self):
-        a = cerny(5)
-        res = cutoff_ibfs(a, SearchParams(maxlen=30, maxsize=5))
-        assert res is not None and res.record is not None
-        assert len(reconstruct_word(res.record)) == res.record.level == res.length
 
 
 class TestSynchronize:
