@@ -5,7 +5,6 @@ benchmark harness."""
 from .automaton import (
     Automaton,
     AutomatonFormatError,
-    StateSet,
     Word,
     cerny,
     indegree_permutation,
@@ -28,7 +27,6 @@ from .settrie import SetTrie
 __all__ = [
     "Automaton",
     "AutomatonFormatError",
-    "StateSet",
     "Word",
     "cerny",
     "indegree_permutation",

@@ -1,17 +1,19 @@
 """Complete deterministic automata over integer states and letters.
 
-States are 0..n-1 and letters are 0..k-1. State sets are bit masks wrapped
-in :class:`StateSet`. An automaton is immutable after construction; the
-inverse transition table and the per-byte preimage tables are each built
-once on first use and only read afterwards.
+States are 0..n-1 and letters are 0..k-1. A set of states is an int bit
+mask everywhere, bit q standing for state q: :meth:`Automaton.image` and
+:meth:`Automaton.preimage` are the checked forms of the unchecked kernels
+``image_bits`` and ``preimage_bits``. An automaton is immutable after
+construction; the inverse transition table and the per-byte preimage tables
+are each built once on first use and only read afterwards.
 """
 
 from __future__ import annotations
 
 import random
 from functools import reduce
-from operator import getitem, or_
-from typing import Iterable, Sequence
+from operator import getitem, index, or_
+from typing import Sequence
 
 Word = tuple[int, ...]
 
@@ -39,63 +41,6 @@ def _byte_tables(masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
-class StateSet:
-    """Immutable subset of the state range [0, n) with cached cardinality."""
-
-    __slots__ = ("n", "bits", "cardinality")
-
-    def __init__(self, n: int, members: Iterable[int] = ()):
-        if n < 1:
-            raise ValueError("state count must be >= 1")
-        bits = 0
-        for q in members:
-            if not 0 <= q < n:
-                raise ValueError(f"state {q} out of range [0, {n})")
-            bits |= 1 << q
-        self.n = n
-        self.bits = bits
-        self.cardinality = bits.bit_count()
-
-    @classmethod
-    def from_bits(cls, n: int, bits: int) -> "StateSet":
-        if bits < 0 or bits >> n:
-            raise ValueError(f"bit mask out of range for n={n}")
-        s = cls.__new__(cls)
-        s.n = n
-        s.bits = bits
-        s.cardinality = bits.bit_count()
-        return s
-
-    @classmethod
-    def full(cls, n: int) -> "StateSet":
-        return cls.from_bits(n, (1 << n) - 1)
-
-    def members(self) -> list[int]:
-        return _bit_members(self.bits)
-
-    def __contains__(self, q: int) -> bool:
-        return 0 <= q < self.n and (self.bits >> q) & 1 == 1
-
-    def __iter__(self):
-        return iter(self.members())
-
-    def __len__(self) -> int:
-        return self.cardinality
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, StateSet)
-            and self.n == other.n
-            and self.bits == other.bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.bits))
-
-    def __repr__(self) -> str:
-        return f"StateSet({self.n}, {{{', '.join(map(str, self.members()))}}})"
-
-
 class Automaton:
     """A complete DFA given by its transition table.
 
@@ -106,7 +51,7 @@ class Automaton:
     __slots__ = ("n", "k", "rows", "_cols", "_inv_bits", "_pre_tables")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(index, row)) for row in rows)
         if not rows or not rows[0]:
             raise ValueError("automaton needs at least one state and one letter")
         n = len(rows)
@@ -180,25 +125,25 @@ class Automaton:
         chunks = bits.to_bytes(len(per_byte), "little")
         return reduce(or_, map(getitem, per_byte, chunks), 0)
 
-    def _check_set(self, s: StateSet) -> None:
-        if s.n != self.n:
-            raise ValueError(f"state set over [0, {s.n}) used with n={self.n}")
+    def _check_bits(self, bits: int) -> None:
+        if bits < 0 or bits >> self.n:
+            raise ValueError(f"state mask {bits:#x} out of range for n={self.n}")
 
     def _check_letter(self, a: int) -> None:
         if not 0 <= a < self.k:
             raise ValueError(f"letter {a} out of range [0, {self.k})")
 
-    def image(self, s: StateSet, a: int) -> StateSet:
-        """{ delta(q, a) : q in s }"""
-        self._check_set(s)
+    def image(self, bits: int, a: int) -> int:
+        """{ delta(q, a) : q in bits }"""
+        self._check_bits(bits)
         self._check_letter(a)
-        return StateSet.from_bits(self.n, self.image_bits(s.bits, a))
+        return self.image_bits(bits, a)
 
-    def preimage(self, s: StateSet, a: int) -> StateSet:
-        """{ q : delta(q, a) in s }"""
-        self._check_set(s)
+    def preimage(self, bits: int, a: int) -> int:
+        """{ q : delta(q, a) in bits }"""
+        self._check_bits(bits)
         self._check_letter(a)
-        return StateSet.from_bits(self.n, self.preimage_bits(s.bits, a))
+        return self.preimage_bits(bits, a)
 
     def is_synchronizing_word(self, word: Sequence[int]) -> bool:
         """True iff applying ``word`` to the full state set yields a singleton."""

@@ -49,7 +49,7 @@ class PairTable:
 
 def build_pair_table(a: Automaton) -> PairTable:
     n, k = a.n, a.k
-    inv = [[_bit_members(a._inverse()[letter][p]) for p in range(n)] for letter in range(k)]
+    inv = [[a.preimage_states(letter, p) for p in range(n)] for letter in range(k)]
     dist = [-1] * (n * n)
     letter_of = [-1] * (n * n)
     queue: deque[tuple[int, int]] = deque()

@@ -119,6 +119,10 @@ class ExperimentConfig:
             raise ValueError("need trials >= 1")
         if self.jobs < 1:
             raise ValueError("need jobs >= 1")
+        if len(set(self.ns)) < len(self.ns):
+            raise ValueError(f"repeated n in {list(self.ns)}")
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ValueError(f"repeated algorithm in {list(self.algorithms)}")
         for tag in self.algorithms:
             parse_algorithm(tag)
         if "exact" in self.algorithms and max(self.ns) > EXACT_MAX_STATES:

@@ -1,5 +1,8 @@
 """The public names: every export resolves, so a stale entry in
-``synchro.__all__`` fails here rather than in a user's import."""
+``synchro.__all__`` fails here rather than in a user's import, and every
+entry point that the benchmark's tracer hooks still exists."""
+
+from pathlib import Path
 
 import synchro
 
@@ -17,3 +20,22 @@ def test_star_import():
 
 def test_no_duplicate_exports():
     assert len(synchro.__all__) == len(set(synchro.__all__))
+
+
+def test_benchmark_hook_targets_exist(monkeypatch):
+    # perfbench wraps these entry points; a rename shows up here, not only
+    # in its own self-tests
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import tracer
+
+    preimage_bits = synchro.Automaton.preimage_bits
+    settrie = synchro.search.SetTrie
+    t = tracer.Tracer()
+    try:
+        t.install(synchro)
+        assert t.missing == []
+    finally:
+        t.uninstall()
+    assert synchro.Automaton.preimage_bits is preimage_bits
+    assert synchro.search.SetTrie is settrie

@@ -5,7 +5,6 @@ from synchro import (
     Automaton,
     AutomatonFormatError,
     NotSynchronizing,
-    StateSet,
     cerny,
     eppstein_greedy,
     exact_shortest,
@@ -18,28 +17,6 @@ from synchro import (
 from conftest import brute_image, brute_preimage
 
 
-def subsets(n):
-    for bits in range(1 << n):
-        yield StateSet.from_bits(n, bits)
-
-
-class TestStateSet:
-    def test_cardinality_tracks_members(self):
-        s = StateSet(8, [1, 3, 3, 5])
-        assert s.cardinality == len(s) == 3
-        assert s.members() == [1, 3, 5]
-        assert 3 in s and 2 not in s
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            StateSet(4, [4])
-        with pytest.raises(ValueError):
-            StateSet.from_bits(4, 1 << 4)
-
-    def test_full(self):
-        assert StateSet.full(5).members() == [0, 1, 2, 3, 4]
-
-
 class TestAutomatonConstruction:
     def test_rejects_bad_tables(self):
         with pytest.raises(ValueError):
@@ -48,6 +25,12 @@ class TestAutomatonConstruction:
             Automaton([[0, 0], [0]])
         with pytest.raises(ValueError):
             Automaton([[0], [2]])
+
+    @pytest.mark.parametrize("entry", [1.9, "1"], ids=["float", "str"])
+    def test_rejects_non_integer_entries(self, entry):
+        # int() would truncate 1.9 to state 1 and parse "1"; a state is an int
+        with pytest.raises(TypeError):
+            Automaton([[entry, 0], [0, 1]])
 
     def test_inverse_is_exact_relational_inverse(self):
         a = random_automaton(9, 3, seed=5)
@@ -64,47 +47,66 @@ class TestAutomatonConstruction:
 class TestImagePreimage:
     def test_singleton_image_under_cycle_letter(self):
         a = cerny(4)
-        assert a.image(StateSet(4, [0]), 0).members() == [1]
+        assert a.image(0b0001, 0) == 0b0010
 
     def test_empty_set(self):
         a = cerny(4)
-        assert a.image(StateSet(4), 0).members() == []
-        assert a.preimage(StateSet(4), 1).members() == []
+        assert a.image(0, 0) == 0
+        assert a.preimage(0, 1) == 0
 
     def test_full_image_under_merging_letter(self):
         a = cerny(4)
         expected = sorted(brute_image(a, range(4), 1))
         assert expected == [1, 2, 3]
-        assert a.image(StateSet.full(4), 1).members() == expected
+        assert a.image(a.full_bits, 1) == 0b1110
 
     def test_preimage_of_full_is_full(self):
         a = random_automaton(7, 2, seed=3)
         for letter in range(a.k):
-            assert a.preimage(StateSet.full(7), letter).cardinality == 7
+            assert a.preimage(a.full_bits, letter) == a.full_bits
 
     def test_preimage_example_on_cerny(self):
         a = cerny(4)
         expected = sorted(brute_preimage(a, {1}, 1))
         assert expected == [0, 1]
-        assert a.preimage(StateSet(4, [1]), 1).members() == expected
+        assert a.preimage(0b0010, 1) == 0b0011
 
     @pytest.mark.parametrize("n,seed", [(5, 0), (9, 1), (12, 2)])
     def test_adjointness_exhaustive(self, n, seed):
         a = random_automaton(n, 2, seed)
-        for s in subsets(n):
+        for bits in range(1 << n):
             for letter in range(a.k):
-                pre = a.preimage(s, letter)
+                pre = a.preimage(bits, letter)
                 for q in range(n):
-                    assert (q in pre) == (a.delta(q, letter) in s)
-                assert a.image(s, letter).cardinality <= s.cardinality
+                    assert (pre >> q & 1) == (bits >> a.delta(q, letter) & 1)
+                assert a.image(bits, letter).bit_count() <= bits.bit_count()
 
     def test_image_matches_brute_oracle(self):
         a = random_automaton(11, 3, seed=7)
-        for s in [StateSet(11, [0, 2, 9]), StateSet(11, range(11)), StateSet(11, [5])]:
+        for members in [[0, 2, 9], range(11), [5]]:
+            bits = sum(1 << q for q in members)
             for letter in range(3):
-                assert set(a.image(s, letter).members()) == brute_image(
-                    a, s.members(), letter
+                assert a.image(bits, letter) == sum(
+                    1 << p for p in brute_image(a, members, letter)
                 )
+
+    @pytest.mark.parametrize(
+        "bits", [-1, 1 << 5, 1 << 7], ids=["negative", "bit-n", "last-byte"]
+    )
+    @pytest.mark.parametrize("method", ["image", "preimage"])
+    def test_mask_out_of_range_rejected(self, method, bits):
+        # n=5: bits 5..7 still lie in the last byte, which preimage_bits
+        # reads through a zero-padded table and so would silently ignore
+        with pytest.raises(ValueError):
+            getattr(random_automaton(5, 2, seed=0), method)(bits, 0)
+
+    @pytest.mark.parametrize("method", ["image", "preimage"])
+    def test_letter_out_of_range_rejected(self, method):
+        a = cerny(4)
+        with pytest.raises(ValueError):
+            getattr(a, method)(1, 2)
+        with pytest.raises(ValueError):
+            getattr(a, method)(1, -1)
 
 
 @st.composite
@@ -124,26 +126,19 @@ def automaton_and_masks(draw):
     return Automaton(rows), [0, full, *masks]
 
 
-def member_walk_preimage(a, bits, letter):
-    """OR of the inverse masks of the members of ``bits``, one at a time."""
-    out = 0
-    for q in range(a.n):
-        if bits >> q & 1:
-            out |= a._inverse()[letter][q]
-    return out
-
-
 @given(automaton_and_masks(), st.booleans())
 def test_preimage_kernel_matches_member_walk(case, inverse_first):
+    # the oracle walks the states through delta alone, not through the
+    # inverse table that the kernel's byte tables are built from
     a, masks = case
     if inverse_first:
         a.build_inverse()  # else the first preimage_bits call builds both
     for letter in range(a.k):
         for bits in masks:
-            expect = member_walk_preimage(a, bits, letter)
+            members = [q for q in range(a.n) if bits >> q & 1]
+            expect = sum(1 << q for q in brute_preimage(a, members, letter))
             assert a.preimage_bits(bits, letter) == expect
-            s = StateSet.from_bits(a.n, bits)
-            assert a.preimage(s, letter) == StateSet.from_bits(a.n, expect)
+            assert a.preimage(bits, letter) == expect
 
 
 class TestSynchronizingWord:

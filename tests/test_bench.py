@@ -215,3 +215,10 @@ class TestExperiment:
             ExperimentConfig(ns=(4,), trials=0)
         with pytest.raises(ValueError):
             ExperimentConfig(ns=(4,), algorithms=("bogus",))
+
+    def test_config_rejects_repeats(self):
+        # a repeat would run the same seeds twice and count them twice
+        with pytest.raises(ValueError):
+            ExperimentConfig(ns=(6, 6), trials=2)
+        with pytest.raises(ValueError):
+            ExperimentConfig(ns=(6,), algorithms=("eppstein", "eppstein"))

@@ -162,6 +162,8 @@ def test_bench_to_stdout(capsys):
         (("bench", "--n", "30", "--trials", "1", "--algos", "exact"), {}),
         (("run", "--cerny", "4", "--algo", "eppstein", "--maxsize", "0"), {}),
         (("run", "--random", "21", "2", "--algo", "exact"), {}),
+        (("bench", "--n", "6", "6", "--trials", "2"), {}),
+        (("bench", "--n", "6", "--trials", "3", "--algos", "eppstein", "eppstein"), {}),
     ],
     ids=[
         "maxsize-0",
@@ -170,6 +172,8 @@ def test_bench_to_stdout(capsys):
         "exact-n-too-large",
         "eppstein-maxsize-0",
         "run-exact-n-too-large",
+        "bench-repeated-n",
+        "bench-repeated-algo",
     ],
 )
 def test_bad_input_exits_with_error_not_traceback(capsys, monkeypatch, argv, env):
