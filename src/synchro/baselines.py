@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from dataclasses import dataclass
 
-from .automaton import Automaton, _bit_members
+from .automaton import Automaton
 from .results import InstanceTooLarge, NotSynchronizing, SearchResult
 
 # Largest state count exact_shortest accepts by default: the power automaton
@@ -13,24 +13,70 @@ from .results import InstanceTooLarge, NotSynchronizing, SearchResult
 EXACT_MAX_STATES = 20
 
 
-@dataclass
 class PairTable:
-    """Shortest merging words for unordered state pairs.
+    """Shortest merging words for unordered state pairs, built one distance
+    level at a time.
 
-    ``dist[p*n+q]`` (p <= q) is the length of a shortest word whose image of
-    {p, q} is a singleton, -1 if none exists; ``letter`` holds the first
-    letter of one such word. Built by BFS from the diagonal backwards over
-    the pair automaton.
+    ``dist[p*n+q]`` (p < q) is the length of a shortest word whose image of
+    {p, q} is a singleton and ``letter[p*n+q]`` the first letter of one such
+    word; ``dist[p*n+p]`` is 0. The table is the FIFO BFS from the diagonal
+    backwards over the pair automaton, paused between levels: invariant,
+    every pair at distance <= ``level`` is labelled and the rest read -1.
+    :meth:`grow` labels the next level; ``distance``, ``merge_letter`` and
+    ``complete`` grow only as far as their answer needs. Since the queue
+    order is that of one uninterrupted BFS, so is every stored letter.
     """
 
-    n: int
-    dist: list[int]
-    letter: list[int]
+    __slots__ = ("n", "dist", "letter", "level", "_frontier", "_inv")
+
+    def __init__(self, a: Automaton):
+        n = a.n
+        self.n = n
+        self.dist = array("i", [-1]) * (n * n)
+        self.letter = array("i", [-1]) * (n * n)
+        self.level = 0
+        self._frontier = [p * n + p for p in range(n)]
+        for i in self._frontier:
+            self.dist[i] = 0
+        self._inv = [[a.preimage_states(x, p) for p in range(n)] for x in range(a.k)]
+
+    def grow(self) -> list[int]:
+        """Label the pairs at distance ``level + 1`` and return their indices
+        ``p*n+q`` in BFS order; once no pair is left to label, return [] and
+        leave ``level`` as it is."""
+        n, dist, letter = self.n, self.dist, self.letter
+        d1 = self.level + 1
+        found: list[int] = []
+        append = found.append
+        letters = list(enumerate(self._inv))
+        for i in self._frontier:
+            u = i // n
+            v = i - u * n
+            for x, inv in letters:
+                inv_u = inv[u]
+                inv_v = inv[v]
+                if not (inv_u and inv_v):
+                    continue
+                for p in inv_u:
+                    for q in inv_v:
+                        # p == q hits the diagonal, which is labelled 0
+                        j = p * n + q if p < q else q * n + p
+                        if dist[j] < 0:
+                            dist[j] = d1
+                            letter[j] = x
+                            append(j)
+        self._frontier = found
+        if found:
+            self.level = d1
+        return found
 
     def _index(self, p: int, q: int) -> int:
         if p > q:
             p, q = q, p
-        return p * self.n + q
+        i = p * self.n + q
+        while self.dist[i] < 0 and self.grow():
+            pass
+        return i
 
     def distance(self, p: int, q: int) -> int:
         return self.dist[self._index(p, q)]
@@ -41,80 +87,74 @@ class PairTable:
     @property
     def complete(self) -> bool:
         """All pairs mergeable, i.e. the automaton is synchronizing."""
-        n = self.n
+        while self.grow():
+            pass
+        n, dist = self.n, self.dist
         return all(
-            self.dist[p * n + q] >= 0 for p in range(n) for q in range(p + 1, n)
+            min(dist[p * n + p + 1 : (p + 1) * n], default=0) >= 0 for p in range(n)
         )
 
 
 def build_pair_table(a: Automaton) -> PairTable:
-    n, k = a.n, a.k
-    inv = [[a.preimage_states(letter, p) for p in range(n)] for letter in range(k)]
-    dist = [-1] * (n * n)
-    letter_of = [-1] * (n * n)
-    queue: deque[tuple[int, int]] = deque()
-    for p in range(n):
-        dist[p * n + p] = 0
-        queue.append((p, p))
-    while queue:
-        u, v = queue.popleft()
-        d1 = dist[u * n + v] + 1
-        for letter in range(k):
-            inv_u = inv[letter][u]
-            inv_v = inv[letter][v]
-            for p in inv_u:
-                for q in inv_v:
-                    if p == q:
-                        continue
-                    i = p * n + q if p < q else q * n + p
-                    if dist[i] < 0:
-                        dist[i] = d1
-                        letter_of[i] = letter
-                        queue.append((p, q) if p < q else (q, p))
-    return PairTable(n, dist, letter_of)
+    """The pair table of ``a`` with level 0 (the diagonal) labelled."""
+    return PairTable(a)
 
 
 def eppstein_greedy(a: Automaton) -> SearchResult:
     """Greedy pair merging: repeatedly merge the pair of current states with
     the shortest merging word (ties: lexicographically smallest pair) until a
-    single state remains. Raises NotSynchronizing if some pair never merges."""
+    single state remains. Raises NotSynchronizing if some pair never merges.
+
+    The pair table grows only when no pair of current states is labelled;
+    since every unlabelled pair lies beyond its level, the least labelled
+    distance is the least distance."""
     n = a.n
     if n == 1:
         return SearchResult(0, (), "eppstein")
     table = build_pair_table(a)
-    if not table.complete:
-        raise NotSynchronizing("some state pair has no merging word")
-
-    rows = a.rows
     dist = table.dist
     letter_of = table.letter
-    bits = a.full_bits
+    cols = list(zip(*a.rows))  # cols[x][p] is the successor of p under x
     members = list(range(n))
     word: list[int] = []
     while len(members) > 1:
-        best_d = -1
-        best = (0, 0)
+        best_d = table.level + 1
+        best = -1
         m = len(members)
         for i in range(m):
-            p = members[i]
-            base = p * n
+            base = members[i] * n
             for j in range(i + 1, m):
                 d = dist[base + members[j]]
-                if best_d < 0 or d < best_d:
+                if 0 <= d < best_d:
                     best_d = d
-                    best = (p, members[j])
+                    best = base + members[j]
                     if d == 1:
                         break
             if best_d == 1:
                 break
-        p, q = best
+        if best < 0:
+            # No pair of members lies within the table's level: grow it one
+            # level at a time, checking only each level's new pairs.
+            inside = bytearray(n)
+            for p in members:
+                inside[p] = 1
+            while best < 0:
+                found = table.grow()
+                if not found:
+                    raise NotSynchronizing("some state pair has no merging word")
+                hits = [i for i in found if inside[i // n] and inside[i % n]]
+                if hits:
+                    best = min(hits)
+        p, q = divmod(best, n)
+        start = len(word)
         while p != q:
-            letter = letter_of[p * n + q if p < q else q * n + p]
-            word.append(letter)
-            bits = a.image_bits(bits, letter)
-            p = rows[p][letter]
-            q = rows[q][letter]
-        members = _bit_members(bits)
+            x = letter_of[p * n + q if p < q else q * n + p]
+            word.append(x)
+            p = cols[x][p]
+            q = cols[x][q]
+        for x in word[start:]:
+            members = list(map(cols[x].__getitem__, members))
+        members = sorted(set(members))
     return SearchResult(len(word), tuple(word), "eppstein")
 
 

@@ -48,7 +48,9 @@ def parse_algorithm(tag: str) -> tuple[str, Optional[str]]:
 
 def check_maxsize(spec: str) -> None:
     """Raise ValueError unless spec is log, n, unbounded or an integer >= 1."""
-    if not (spec in ("log", "n", "unbounded") or (spec.isdigit() and int(spec) >= 1)):
+    # isdigit() alone also accepts digits int() rejects, such as "²"
+    digits = spec.isascii() and spec.isdigit()
+    if not (spec in ("log", "n", "unbounded") or (digits and int(spec) >= 1)):
         raise ValueError(
             f"bad maxsize {spec!r}: use log, n, unbounded or an integer >= 1"
         )

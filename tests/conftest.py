@@ -3,9 +3,10 @@ they only read the transition table via Automaton.delta."""
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import product
 
-from synchro import Automaton
+from synchro import Automaton, NotSynchronizing
 
 
 def brute_image(a: Automaton, members, letter) -> set[int]:
@@ -48,6 +49,47 @@ def brute_pair_merge_distance(a: Automaton, p: int, q: int, limit: int) -> int:
         if not frontier:
             break
     return -1
+
+
+def eager_eppstein(a: Automaton) -> tuple[int, ...]:
+    """Eppstein's greedy word from a pair table built in full up front: the
+    FIFO BFS from the diagonal backwards over the pair automaton, preimages
+    taken in increasing state order, the first letter to reach a pair kept.
+    Then repeatedly merge the pair of current states with the least distance,
+    ties to the lexicographically smallest pair. Raises NotSynchronizing if
+    some pair never merges."""
+    n, k = a.n, a.k
+    pre = [
+        [[q for q in range(n) if a.delta(q, x) == p] for p in range(n)]
+        for x in range(k)
+    ]
+    dist = {(p, p): 0 for p in range(n)}
+    letter = {}
+    queue = deque(dist)
+    while queue:
+        u, v = queue.popleft()
+        for x in range(k):
+            for p in pre[x][u]:
+                for q in pre[x][v]:
+                    pair = (min(p, q), max(p, q))
+                    if pair not in dist:
+                        dist[pair] = dist[(u, v)] + 1
+                        letter[pair] = x
+                        queue.append(pair)
+    if len(dist) < n * (n + 1) // 2:
+        raise NotSynchronizing("some state pair has no merging word")
+    members = set(range(n))
+    word = []
+    while len(members) > 1:
+        s = sorted(members)
+        pairs = [(p, q) for i, p in enumerate(s) for q in s[i + 1 :]]
+        p, q = min(pairs, key=lambda pair: (dist[pair], pair))
+        while p != q:
+            x = letter[(min(p, q), max(p, q))]
+            word.append(x)
+            members = {a.delta(r, x) for r in members}
+            p, q = a.delta(p, x), a.delta(q, x)
+    return tuple(word)
 
 
 def no_shorter_reset_word(a: Automaton, length: int) -> bool:

@@ -1,6 +1,7 @@
 import pytest
 
 from synchro import (
+    UNBOUNDED,
     Automaton,
     InstanceTooLarge,
     NotSynchronizing,
@@ -9,10 +10,15 @@ from synchro import (
     eppstein_greedy,
     exact_shortest,
     random_automaton,
+    synchronize,
 )
+from synchro.bench import solve
 from conftest import brute_pair_merge_distance, no_shorter_reset_word
 
 TWO_PERMUTATIONS = Automaton([(1, 2), (2, 0), (0, 1)])
+# Two sinks, 0 and 2: the greedy merges {0, 1} and {2, 3}, then finds that
+# {0, 2} never merges.
+TWO_SINKS = Automaton([[0, 0], [0, 1], [2, 2], [2, 3]])
 
 
 class TestPairTable:
@@ -42,6 +48,50 @@ class TestPairTable:
     def test_incomplete_for_permutation_letters(self):
         assert not build_pair_table(TWO_PERMUTATIONS).complete
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_grow_labels_exactly_the_next_level(self, seed, k):
+        a = random_automaton(8, k, seed)
+        truth = {
+            (p, q): brute_pair_merge_distance(a, p, q, 64)
+            for p in range(8)
+            for q in range(p + 1, 8)
+        }
+        t = build_pair_table(a)
+        assert t.level == 0
+        while True:
+            level = t.level
+            found = t.grow()
+            if not found:
+                break
+            assert t.level == level + 1
+            assert sorted(found) == sorted(
+                p * 8 + q for (p, q), d in truth.items() if d == t.level
+            )
+            for (p, q), d in truth.items():
+                labelled = t.dist[p * 8 + q] >= 0
+                assert labelled == (0 <= d <= t.level)
+                assert t.dist[p * 8 + q] == (d if labelled else -1)
+        assert t.level == max(truth.values(), default=0)
+        assert t.grow() == [] and t.level == level
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fresh_table_answers_any_pair(self, seed, k):
+        a = random_automaton(8, k, seed)
+        for p in range(8):
+            for q in range(8):
+                t = build_pair_table(a)
+                d = t.distance(p, q)
+                assert d == brute_pair_merge_distance(a, p, q, 64)
+                if d >= 0:
+                    assert t.level == d  # grown only as far as the answer
+                else:
+                    assert t.grow() == []
+                if d > 0:
+                    x = t.merge_letter(q, p)
+                    assert t.distance(a.delta(p, x), a.delta(q, x)) == d - 1
+
 
 class TestEppsteinGreedy:
     def test_cerny2(self):
@@ -51,6 +101,18 @@ class TestEppsteinGreedy:
     def test_not_synchronizing(self):
         with pytest.raises(NotSynchronizing):
             eppstein_greedy(TWO_PERMUTATIONS)
+
+    def test_not_synchronizing_after_merges(self):
+        with pytest.raises(NotSynchronizing):
+            exact_shortest(TWO_SINKS)
+        with pytest.raises(NotSynchronizing):
+            eppstein_greedy(TWO_SINKS)
+        with pytest.raises(NotSynchronizing):
+            synchronize(TWO_SINKS, UNBOUNDED)
+        for tag in ("eppstein", "exact", "cutoff-ibfs:1", "cutoff-ibfs:log",
+                    "cutoff-ibfs:n", "cutoff-ibfs:unbounded"):
+            with pytest.raises(NotSynchronizing):
+                solve(TWO_SINKS, tag)
 
     def test_single_state(self):
         res = eppstein_greedy(Automaton([[0, 0]]))

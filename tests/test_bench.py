@@ -35,7 +35,15 @@ class TestAlgorithmTags:
 
     @pytest.mark.parametrize(
         "tag",
-        ["cycle", "cutoff-ibfs", "cutoff-ibfs:zero", "cutoff-ibfs:0", "eppstein:3"],
+        [
+            "cycle",
+            "cutoff-ibfs",
+            "cutoff-ibfs:zero",
+            "cutoff-ibfs:0",
+            "eppstein:3",
+            "cutoff-ibfs:²",
+            "cutoff-ibfs:３",
+        ],
     )
     def test_invalid_tags(self, tag):
         with pytest.raises(ValueError):

@@ -164,6 +164,10 @@ def test_bench_to_stdout(capsys):
         (("run", "--random", "21", "2", "--algo", "exact"), {}),
         (("bench", "--n", "6", "6", "--trials", "2"), {}),
         (("bench", "--n", "6", "--trials", "3", "--algos", "eppstein", "eppstein"), {}),
+        (("run", "--cerny", "3", "--maxsize", "²"), {}),
+        (("run", "--cerny", "3", "--maxsize", "３"), {}),
+        (("bench", "--n", "4", "--trials", "1", "--algos", "cutoff-ibfs:²"), {}),
+        (("bench", "--n", "4", "--trials", "1", "--algos", "cutoff-ibfs:３"), {}),
     ],
     ids=[
         "maxsize-0",
@@ -174,6 +178,10 @@ def test_bench_to_stdout(capsys):
         "run-exact-n-too-large",
         "bench-repeated-n",
         "bench-repeated-algo",
+        "maxsize-superscript-digit",
+        "maxsize-fullwidth-digit",
+        "bench-maxsize-superscript-digit",
+        "bench-maxsize-fullwidth-digit",
     ],
 )
 def test_bad_input_exits_with_error_not_traceback(capsys, monkeypatch, argv, env):
@@ -183,3 +191,21 @@ def test_bad_input_exits_with_error_not_traceback(capsys, monkeypatch, argv, env
     assert code == EXIT_ERROR
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["²", "３"])
+@pytest.mark.parametrize(
+    "argv",
+    [("run", "--cerny", "3", "--maxsize"), ("bench", "--n", "4", "--trials", "1")],
+    ids=["run", "bench"],
+)
+def test_non_ascii_digit_maxsize_is_a_bad_maxsize(capsys, argv, spec):
+    if argv[0] == "bench":
+        argv = (*argv, "--algos", f"cutoff-ibfs:{spec}")
+    else:
+        argv = (*argv, spec)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_ERROR
+    assert err == (
+        f"error: bad maxsize {spec!r}: use log, n, unbounded or an integer >= 1\n"
+    )

@@ -8,6 +8,9 @@ pins the paths `synchronize` does not take: the standalone `cutoff_ibfs`
 with a ``maxlen`` in every start mode, cap and permutation setting, and
 `solve` with the ``eppstein`` and ``exact`` tags. It was computed on the
 code that still built a ``FrontierRecord`` chain for every returned word.
+``EXPECTED_EPPSTEIN`` pins `eppstein_greedy`'s words on automata larger
+than the ones above, where `synchronize` seldom returns them; it was
+computed on the code that built the whole pair table before merging.
 """
 
 import hashlib
@@ -20,6 +23,7 @@ from synchro import (
     SearchParams,
     cerny,
     cutoff_ibfs,
+    eppstein_greedy,
     log_cap,
     random_automaton,
     synchronize,
@@ -29,6 +33,7 @@ from synchro.bench import solve
 
 EXPECTED = "7b0e56dab2a9f9a8a76b743d976fccb483f384fc0d8e2107c38beaa37b141414"
 EXPECTED_SOLVE = "a516aeb24cc913842ea6e3110bc3e423517998ade429b73e9d9f1ea01dfdd30c"
+EXPECTED_EPPSTEIN = "5250f445071e815e381e53ae08690b273a6b923b77e2eb6969f7a6c643d39038"
 
 
 def _fingerprint(a, cap, **kwargs):
@@ -82,6 +87,16 @@ def solve_fingerprints():
     return out
 
 
+def eppstein_fingerprints():
+    automata = [
+        random_automaton(n, k, seed)
+        for n in (50, 100, 300)
+        for k in (2, 3)
+        for seed in range(4)
+    ] + [cerny(n) for n in range(2, 41)]
+    return [_outcome(lambda: eppstein_greedy(a)) for a in automata]
+
+
 def _digest(lines):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -92,3 +107,7 @@ def test_fingerprint_digest_is_unchanged():
 
 def test_solve_and_standalone_search_digest_is_unchanged():
     assert _digest(solve_fingerprints()) == EXPECTED_SOLVE
+
+
+def test_eppstein_digest_is_unchanged():
+    assert _digest(eppstein_fingerprints()) == EXPECTED_EPPSTEIN

@@ -1,5 +1,6 @@
-"""Properties of every algorithm on small random automata (n <= 8, k <= 3),
-checked against the exact oracle and the automaton's own transition table."""
+"""Properties of every algorithm on small random automata (n <= 8, k <= 3;
+n <= 12 for Eppstein's word), checked against the exact oracle, the eager
+Eppstein oracle and the automaton's own transition table."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from synchro import (
 )
 from synchro.automaton import START_MODES
 from synchro.bench import solve
+from conftest import eager_eppstein
 
 TAGS = (
     "eppstein",
@@ -30,8 +32,8 @@ examples = settings(max_examples=100, deadline=None)
 
 
 @st.composite
-def automata(draw):
-    n = draw(st.integers(1, 8))
+def automata(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
     k = draw(st.sampled_from([1, 2, 3]))
     rows = draw(
         st.lists(
@@ -80,6 +82,18 @@ def test_synchronize_never_longer_than_eppstein(a, cap, mode):
     except NotSynchronizing:
         return
     assert synchronize(a, cap, start_mode=mode).length <= bound
+
+
+@examples
+@given(automata(max_n=12))
+def test_eppstein_word_matches_eager_oracle(a):
+    try:
+        expected = eager_eppstein(a)
+    except NotSynchronizing:
+        with pytest.raises(NotSynchronizing):
+            eppstein_greedy(a)
+        return
+    assert eppstein_greedy(a).word == expected
 
 
 @examples
