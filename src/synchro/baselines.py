@@ -22,28 +22,34 @@ class PairTable:
     word; ``dist[p*n+p]`` is 0. The table is the FIFO BFS from the diagonal
     backwards over the pair automaton, paused between levels: invariant,
     every pair at distance <= ``level`` is labelled and the rest read -1.
-    :meth:`grow` labels the next level; ``distance``, ``merge_letter`` and
-    ``complete`` grow only as far as their answer needs. Since the queue
-    order is that of one uninterrupted BFS, so is every stored letter.
+    ``order`` holds every labelled index in BFS order, and level d is
+    ``order[starts[d]:starts[d+1]]``; level 0 is the diagonal. Letters take
+    one byte each when k <= 256. :meth:`grow` labels the next level;
+    ``distance``, ``merge_letter`` and ``complete`` grow only as far as
+    their answer needs. Since the queue order is that of one uninterrupted
+    BFS, so is every stored letter.
     """
 
-    __slots__ = ("n", "dist", "letter", "level", "_frontier", "_inv")
+    __slots__ = ("n", "dist", "letter", "order", "starts", "level", "_frontier",
+                 "_inv")
 
     def __init__(self, a: Automaton):
         n = a.n
         self.n = n
         self.dist = array("i", [-1]) * (n * n)
-        self.letter = array("i", [-1]) * (n * n)
+        self.letter = bytearray(n * n) if a.k <= 256 else array("i", [0]) * (n * n)
         self.level = 0
         self._frontier = [p * n + p for p in range(n)]
         for i in self._frontier:
             self.dist[i] = 0
+        self.order = array("i", self._frontier)
+        self.starts = array("i", [0, n])
         self._inv = [[a.preimage_states(x, p) for p in range(n)] for x in range(a.k)]
 
     def grow(self) -> list[int]:
-        """Label the pairs at distance ``level + 1`` and return their indices
-        ``p*n+q`` in BFS order; once no pair is left to label, return [] and
-        leave ``level`` as it is."""
+        """Label the pairs at distance ``level + 1``, append their indices
+        ``p*n+q`` to ``order`` and return them in BFS order; once no pair is
+        left to label, return [] and leave ``level`` as it is."""
         n, dist, letter = self.n, self.dist, self.letter
         d1 = self.level + 1
         found: list[int] = []
@@ -68,6 +74,8 @@ class PairTable:
         self._frontier = found
         if found:
             self.level = d1
+            self.order.extend(found)
+            self.starts.append(len(self.order))
         return found
 
     def _index(self, p: int, q: int) -> int:
@@ -89,10 +97,7 @@ class PairTable:
         """All pairs mergeable, i.e. the automaton is synchronizing."""
         while self.grow():
             pass
-        n, dist = self.n, self.dist
-        return all(
-            min(dist[p * n + p + 1 : (p + 1) * n], default=0) >= 0 for p in range(n)
-        )
+        return len(self.order) == self.n * (self.n + 1) // 2
 
 
 def build_pair_table(a: Automaton) -> PairTable:
@@ -100,51 +105,72 @@ def build_pair_table(a: Automaton) -> PairTable:
     return PairTable(a)
 
 
+# Merging words are applied to the member list in runs of this many letters,
+# each run through one column composed over all states.
+_BLOCK = 16
+
+
 def eppstein_greedy(a: Automaton) -> SearchResult:
     """Greedy pair merging: repeatedly merge the pair of current states with
     the shortest merging word (ties: lexicographically smallest pair) until a
     single state remains. Raises NotSynchronizing if some pair never merges.
 
-    The pair table grows only when no pair of current states is labelled;
-    since every unlabelled pair lies beyond its level, the least labelled
-    distance is the least distance."""
+    Each merge picks its pair the cheaper of two exact ways: with m members,
+    scan all m(m-1)/2 member pairs if the table has labelled at least that
+    many off-diagonal pairs, else walk the table's levels upwards from 1 and
+    take the least index in the first level holding a pair of members. If
+    no labelled pair joins two members, the table grows one level at a time
+    and only each new level is checked; since every unlabelled pair lies
+    beyond its level, the least labelled distance is the least distance."""
     n = a.n
     if n == 1:
         return SearchResult(0, (), "eppstein")
     table = build_pair_table(a)
     dist = table.dist
     letter_of = table.letter
+    order = table.order
+    starts = table.starts
     cols = list(zip(*a.rows))  # cols[x][p] is the successor of p under x
+    blocks: dict[tuple[int, ...], list[int]] = {}
     members = list(range(n))
     word: list[int] = []
     while len(members) > 1:
-        best_d = table.level + 1
         best = -1
         m = len(members)
-        for i in range(m):
-            base = members[i] * n
-            for j in range(i + 1, m):
-                d = dist[base + members[j]]
-                if 0 <= d < best_d:
-                    best_d = d
-                    best = base + members[j]
-                    if d == 1:
-                        break
-            if best_d == 1:
-                break
-        if best < 0:
-            # No pair of members lies within the table's level: grow it one
-            # level at a time, checking only each level's new pairs.
-            inside = bytearray(n)
-            for p in members:
-                inside[p] = 1
-            while best < 0:
-                found = table.grow()
-                if not found:
-                    raise NotSynchronizing("some state pair has no merging word")
-                hits = [i for i in found if inside[i // n] and inside[i % n]]
+        inside = bytearray(n)
+        for p in members:
+            inside[p] = 1
+        if m * (m - 1) // 2 <= len(order) - n:
+            best_d = table.level + 1
+            for i in range(m):
+                base = members[i] * n
+                for j in range(i + 1, m):
+                    d = dist[base + members[j]]
+                    if 0 <= d < best_d:
+                        best_d = d
+                        best = base + members[j]
+                        if d == 1:
+                            break
+                if best_d == 1:
+                    break
+        else:
+            for d in range(1, table.level + 1):
+                hits = [
+                    i for i in order[starts[d] : starts[d + 1]]
+                    if inside[i // n] and inside[i % n]
+                ]
                 if hits:
                     best = min(hits)
+                    break
+        while best < 0:
+            # No pair of members lies within the table's level: grow it one
+            # level at a time, checking only each level's new pairs.
+            found = table.grow()
+            if not found:
+                raise NotSynchronizing("some state pair has no merging word")
+            hits = [i for i in found if inside[i // n] and inside[i % n]]
+            if hits:
+                best = min(hits)
         p, q = divmod(best, n)
         start = len(word)
         while p != q:
@@ -152,8 +178,19 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
             word.append(x)
             p = cols[x][p]
             q = cols[x][q]
-        for x in word[start:]:
-            members = list(map(cols[x].__getitem__, members))
+        end = len(word)
+        while end - start >= _BLOCK:
+            run = tuple(word[start : start + _BLOCK])
+            col = blocks.get(run)
+            if col is None:
+                col = list(range(n))
+                for x in run:
+                    col = list(map(cols[x].__getitem__, col))
+                blocks[run] = col
+            members = list(map(col.__getitem__, members))
+            start += _BLOCK
+        for t in range(start, end):
+            members = list(map(cols[word[t]].__getitem__, members))
         members = sorted(set(members))
     return SearchResult(len(word), tuple(word), "eppstein")
 

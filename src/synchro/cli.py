@@ -148,7 +148,10 @@ def _cmd_run(args) -> int:
 def _cmd_bench(args) -> int:
     jobs = os.environ.get(JOBS_ENV, "1")
     try:
-        if not jobs.strip().isdigit():
+        # isdigit() alone also accepts digits int() rejects or reads as
+        # ASCII ones, such as "²" and "３"
+        digits = jobs.strip()
+        if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"{JOBS_ENV} must be a positive integer, got {jobs!r}")
         cfg = ExperimentConfig(
             ns=tuple(args.n),

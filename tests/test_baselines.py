@@ -13,7 +13,7 @@ from synchro import (
     synchronize,
 )
 from synchro.bench import solve
-from conftest import brute_pair_merge_distance, no_shorter_reset_word
+from conftest import brute_pair_merge_distance, eager_eppstein, no_shorter_reset_word
 
 TWO_PERMUTATIONS = Automaton([(1, 2), (2, 0), (0, 1)])
 # Two sinks, 0 and 2: the greedy merges {0, 1} and {2, 3}, then finds that
@@ -77,6 +77,30 @@ class TestPairTable:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(6))
+    def test_order_lists_each_level_as_grown(self, seed, k):
+        t = build_pair_table(random_automaton(8, k, seed))
+        assert list(t.starts) == [0, 8]
+        assert list(t.order) == [p * 8 + p for p in range(8)]
+        while True:
+            found = t.grow()
+            if not found:
+                break
+            d = t.level
+            assert len(t.starts) == d + 2
+            assert list(t.order[t.starts[d] : t.starts[d + 1]]) == found
+        assert t.starts[-1] == len(t.order)
+        assert len(t.order) == sum(1 for x in t.dist if x >= 0)
+        assert len(set(t.order)) == len(t.order)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_eager_oracle_with_wide_alphabet(self, seed):
+        # k > 256 stores letters in array('i') instead of one byte each.
+        a = random_automaton(6, 300, seed)
+        assert build_pair_table(a).letter.itemsize > 1
+        assert eppstein_greedy(a).word == eager_eppstein(a)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(6))
     def test_fresh_table_answers_any_pair(self, seed, k):
         a = random_automaton(8, k, seed)
         for p in range(8):
@@ -132,6 +156,18 @@ class TestEppsteinGreedy:
         assert res.length < a.n**3
         assert a.is_synchronizing_word(res.word)
         assert a.is_synchronizing_word(exact.word)
+
+    @pytest.mark.parametrize(
+        "a",
+        [cerny(n) for n in (17, 25, 40)]
+        + [random_automaton(n, k, s) for n in (60, 150) for k in (2, 3) for s in range(3)],
+        ids=[f"cerny{n}" for n in (17, 25, 40)]
+        + [f"random{n}-k{k}-s{s}" for n in (60, 150) for k in (2, 3) for s in range(3)],
+    )
+    def test_matches_eager_oracle_with_long_merge_words(self, a):
+        # Sizes where the greedy picks pairs both by scanning members and by
+        # walking levels, and where cerny's merge words span 16-letter blocks.
+        assert eppstein_greedy(a).word == eager_eppstein(a)
 
     def test_deterministic(self):
         a = random_automaton(40, 2, seed=5)

@@ -168,6 +168,8 @@ def test_bench_to_stdout(capsys):
         (("run", "--cerny", "3", "--maxsize", "３"), {}),
         (("bench", "--n", "4", "--trials", "1", "--algos", "cutoff-ibfs:²"), {}),
         (("bench", "--n", "4", "--trials", "1", "--algos", "cutoff-ibfs:３"), {}),
+        (("bench", "--n", "5", "--trials", "1"), {"SYNCHRO_JOBS": "²"}),
+        (("bench", "--n", "5", "--trials", "1"), {"SYNCHRO_JOBS": "３"}),
     ],
     ids=[
         "maxsize-0",
@@ -182,6 +184,8 @@ def test_bench_to_stdout(capsys):
         "maxsize-fullwidth-digit",
         "bench-maxsize-superscript-digit",
         "bench-maxsize-fullwidth-digit",
+        "jobs-superscript-digit",
+        "jobs-fullwidth-digit",
     ],
 )
 def test_bad_input_exits_with_error_not_traceback(capsys, monkeypatch, argv, env):
@@ -191,6 +195,9 @@ def test_bad_input_exits_with_error_not_traceback(capsys, monkeypatch, argv, env
     assert code == EXIT_ERROR
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    if "SYNCHRO_JOBS" in env:
+        jobs = env["SYNCHRO_JOBS"]
+        assert err == f"error: SYNCHRO_JOBS must be a positive integer, got {jobs!r}\n"
 
 
 @pytest.mark.parametrize("spec", ["²", "３"])
