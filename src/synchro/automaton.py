@@ -11,8 +11,7 @@ are each built once on first use and only read afterwards.
 from __future__ import annotations
 
 import random
-from functools import reduce
-from operator import getitem, index, or_
+from operator import getitem, index
 from typing import Sequence
 
 Word = tuple[int, ...]
@@ -113,17 +112,19 @@ class Automaton:
         return out
 
     def preimage_bits(self, bits: int, a: int) -> int:
-        # Preimage distributes over union, so OR together one table entry per
-        # byte of the mask. The tables are built on the first call, not with
-        # the inverse, so they never coexist with a pair table that only
-        # needed the inverse. Idempotent like _inverse().
+        # Preimage distributes over union, so combine one table entry per
+        # byte of the mask. Every state has one successor, so the entries
+        # for different bytes are disjoint and their sum is their union.
+        # The tables are built on the first call, not with the inverse, so
+        # they never coexist with a pair table that only needed the inverse.
+        # Idempotent like _inverse().
         tables = self._pre_tables
         if tables is None:
             tables = tuple(_byte_tables(masks) for masks in self._inverse())
             self._pre_tables = tables
         per_byte = tables[a]
         chunks = bits.to_bytes(len(per_byte), "little")
-        return reduce(or_, map(getitem, per_byte, chunks), 0)
+        return sum(map(getitem, per_byte, chunks))
 
     def _check_bits(self, bits: int) -> None:
         if bits < 0 or bits >> self.n:

@@ -24,10 +24,9 @@ class PairTable:
     every pair at distance <= ``level`` is labelled and the rest read -1.
     ``order`` holds every labelled index in BFS order, and level d is
     ``order[starts[d]:starts[d+1]]``; level 0 is the diagonal. Letters take
-    one byte each when k <= 256. :meth:`grow` labels the next level;
-    ``distance``, ``merge_letter`` and ``complete`` grow only as far as
-    their answer needs. Since the queue order is that of one uninterrupted
-    BFS, so is every stored letter.
+    one byte each when k <= 256. :meth:`grow` labels the next level. Since
+    the queue order is that of one uninterrupted BFS, so is every stored
+    letter.
     """
 
     __slots__ = ("n", "dist", "letter", "order", "starts", "level", "_frontier",
@@ -44,7 +43,10 @@ class PairTable:
             self.dist[i] = 0
         self.order = array("i", self._frontier)
         self.starts = array("i", [0, n])
-        self._inv = [[a.preimage_states(x, p) for p in range(n)] for x in range(a.k)]
+        # (letter, per-state preimage lists), one entry per letter
+        self._inv = [
+            (x, [a.preimage_states(x, p) for p in range(n)]) for x in range(a.k)
+        ]
 
     def grow(self) -> list[int]:
         """Label the pairs at distance ``level + 1``, append their indices
@@ -54,11 +56,10 @@ class PairTable:
         d1 = self.level + 1
         found: list[int] = []
         append = found.append
-        letters = list(enumerate(self._inv))
         for i in self._frontier:
             u = i // n
             v = i - u * n
-            for x, inv in letters:
+            for x, inv in self._inv:
                 inv_u = inv[u]
                 inv_v = inv[v]
                 if not (inv_u and inv_v):
@@ -77,27 +78,6 @@ class PairTable:
             self.order.extend(found)
             self.starts.append(len(self.order))
         return found
-
-    def _index(self, p: int, q: int) -> int:
-        if p > q:
-            p, q = q, p
-        i = p * self.n + q
-        while self.dist[i] < 0 and self.grow():
-            pass
-        return i
-
-    def distance(self, p: int, q: int) -> int:
-        return self.dist[self._index(p, q)]
-
-    def merge_letter(self, p: int, q: int) -> int:
-        return self.letter[self._index(p, q)]
-
-    @property
-    def complete(self) -> bool:
-        """All pairs mergeable, i.e. the automaton is synchronizing."""
-        while self.grow():
-            pass
-        return len(self.order) == self.n * (self.n + 1) // 2
 
 
 def build_pair_table(a: Automaton) -> PairTable:

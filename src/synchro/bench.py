@@ -13,7 +13,6 @@ preceding Eppstein run. Non-synchronizing samples are recorded with length
 from __future__ import annotations
 
 import csv
-import io
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -208,12 +207,6 @@ def write_csv(rows: list[TrialRow], out: TextIO) -> None:
     writer.writerow(CSV_COLUMNS)
     for row in rows:
         writer.writerow(row.as_csv())
-
-
-def rows_to_csv(rows: list[TrialRow]) -> str:
-    buf = io.StringIO()
-    write_csv(rows, buf)
-    return buf.getvalue()
 
 
 @dataclass

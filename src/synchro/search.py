@@ -56,9 +56,18 @@ def cutoff_ibfs(a: Automaton, params: SearchParams) -> Optional[SearchResult]:
     # level 0; the goal's letters, parent to parent, are the word in order.
     full = m.full_bits
     nbytes = (n + 7) // 8  # table lookups per preimage_bits call
+    letters = range(k)
     frontier = [(1 << q, None, None) for q in start_set(m, params.start_mode)]
     sizes = [len(frontier)]
     level_ops: list[int] = []
+    # Level 0 holds singletons, and the preimage of {q} under x is the
+    # inverse mask inv[x][q]: one lookup in place of nbytes.
+    inv = m._inverse()
+
+    def singleton_preimage(bits: int, x: int) -> int:
+        return inv[x][bits.bit_length() - 1]
+
+    preimage = m.preimage_bits
     # Brent cycle check: a level's mask list (canonical, as take_largest
     # orders it) fixes every later level, so if it repeats the mask list
     # saved at the last power-of-two level, no later level reaches the goal.
@@ -66,23 +75,26 @@ def cutoff_ibfs(a: Automaton, params: SearchParams) -> Optional[SearchResult]:
 
     for level in range(1, params.maxlen + 1):
         trie = SetTrie(n)
-        ops = 0
+        insert = trie.insert
+        pre, lookups = (singleton_preimage, 1) if level == 1 else (preimage, nbytes)
         goal = None
-        for rec in frontier:
+        for i, rec in enumerate(frontier):
             sbits = rec[0]
-            for letter in range(k):
-                pbits = m.preimage_bits(sbits, letter)
-                ops += nbytes
+            for letter in letters:
+                pbits = pre(sbits, letter)
                 if pbits == 0:
                     continue
                 if pbits == full:
                     goal = (full, letter, rec)
                     break
                 # duplicate sets keep the first record; insert is a no-op then
-                trie.insert(pbits, (pbits, letter, rec))
+                insert(pbits, (pbits, letter, rec))
             if goal is not None:
+                calls = i * k + goal[1] + 1
                 break
-        level_ops.append(ops + trie.ops)
+        else:
+            calls = len(frontier) * k
+        level_ops.append(calls * lookups + trie.ops)
         if goal is not None:
             word = []
             while goal[2] is not None:

@@ -8,6 +8,7 @@ so no trie structure is needed.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
 from typing import Any
 
 # _REVERSED_BYTE[b] is the byte b with its 8 bits in reverse order, built
@@ -55,16 +56,28 @@ class SetTrie:
         Returns fewer if fewer are stored."""
         if c < 1:
             raise ValueError("need c >= 1")
-        nbytes = (self.n + 7) // 8
-
+        sets = self._sets
+        masks = list(sets)
+        counts = list(map(int.bit_count, masks))
+        if c < len(masks):
+            # Only sets at least as large as the c-th largest can be taken.
+            least = sorted(counts)[-c]
+            keep = list(map(least.__le__, counts))
+            masks = list(compress(masks, keep))
+            counts = list(compress(counts, keep))
         # Reversing the mask's bits puts state 0 on top, so among sets of
         # equal size the lexicographically smaller member list has the larger
-        # reversed mask.
-        def key(item: tuple[int, Any]) -> tuple[int, int]:
-            bits = item[0]
-            reversed_bits = int.from_bytes(
-                bits.to_bytes(nbytes, "little").translate(_REVERSED_BYTE), "big"
-            )
-            return bits.bit_count(), reversed_bits
-
-        return sorted(self._sets.items(), key=key, reverse=True)[:c]
+        # reversed mask. Distinct masks have distinct keys, so the sort never
+        # compares the masks themselves.
+        nbytes = (self.n + 7) // 8
+        keys = map(
+            int.from_bytes,
+            map(
+                bytes.translate,
+                map(int.to_bytes, masks, repeat(nbytes), repeat("little")),
+                repeat(_REVERSED_BYTE),
+            ),
+            repeat("big"),
+        )
+        ranked = sorted(zip(counts, keys, masks), reverse=True)
+        return [(bits, sets[bits]) for _, _, bits in ranked[:c]]

@@ -39,3 +39,25 @@ def test_benchmark_hook_targets_exist(monkeypatch):
         t.uninstall()
     assert synchro.Automaton.preimage_bits is preimage_bits
     assert synchro.search.SetTrie is settrie
+
+
+def test_traced_solve_tallies_search_calls(monkeypatch):
+    # level 1 reads the inverse masks directly, but later levels still go
+    # through the hooked preimage kernel and the hooked SetTrie
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import tracer
+
+    t = tracer.Tracer()
+    try:
+        t.install(synchro)
+        with t.span("solve"):
+            synchro.synchronize(synchro.random_automaton(12, 2, 0), 12)
+    finally:
+        t.uninstall()
+    calls = {}
+    for sp in t.spans:
+        for name, tally in sp.calls.items():
+            calls[name] = calls.get(name, 0) + tally[tracer.CALLS]
+    assert calls.get("preimage", 0) > 0
+    assert calls.get("settrie.insert", 0) > 0

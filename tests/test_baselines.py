@@ -21,32 +21,47 @@ TWO_PERMUTATIONS = Automaton([(1, 2), (2, 0), (0, 1)])
 TWO_SINKS = Automaton([[0, 0], [0, 1], [2, 2], [2, 3]])
 
 
+def pair_index(n, p, q):
+    """The table index of the unordered pair {p, q}."""
+    return p * n + q if p <= q else q * n + p
+
+
+def grown_table(a):
+    """The pair table of ``a`` with every mergeable pair labelled."""
+    t = build_pair_table(a)
+    while t.grow():
+        pass
+    return t
+
+
 class TestPairTable:
     def test_diagonal_is_zero(self):
         t = build_pair_table(cerny(5))
-        assert all(t.distance(p, p) == 0 for p in range(5))
+        assert all(t.dist[pair_index(5, p, p)] == 0 for p in range(5))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_forward_bfs_oracle(self, seed):
         a = random_automaton(8, 2, seed)
-        t = build_pair_table(a)
+        t = grown_table(a)
         for p in range(8):
             for q in range(p + 1, 8):
-                assert t.distance(p, q) == brute_pair_merge_distance(a, p, q, 64)
+                assert t.dist[p * 8 + q] == brute_pair_merge_distance(a, p, q, 64)
 
     def test_stored_letter_decrements_distance(self):
         a = random_automaton(8, 3, seed=17)
-        t = build_pair_table(a)
+        t = grown_table(a)
         for p in range(8):
             for q in range(p + 1, 8):
-                d = t.distance(p, q)
+                d = t.dist[p * 8 + q]
                 if d <= 0:
                     continue
-                letter = t.merge_letter(p, q)
-                assert t.distance(a.delta(p, letter), a.delta(q, letter)) == d - 1
+                letter = t.letter[p * 8 + q]
+                succ = pair_index(8, a.delta(p, letter), a.delta(q, letter))
+                assert t.dist[succ] == d - 1
 
     def test_incomplete_for_permutation_letters(self):
-        assert not build_pair_table(TWO_PERMUTATIONS).complete
+        # some pair of the 3 states stays unlabelled: 6 pairs with the diagonal
+        assert len(grown_table(TWO_PERMUTATIONS).order) != 3 * 4 // 2
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(6))
@@ -106,15 +121,18 @@ class TestPairTable:
         for p in range(8):
             for q in range(8):
                 t = build_pair_table(a)
-                d = t.distance(p, q)
+                i = pair_index(8, q, p)
+                while t.dist[i] < 0 and t.grow():
+                    pass
+                d = t.dist[i]
                 assert d == brute_pair_merge_distance(a, p, q, 64)
                 if d >= 0:
                     assert t.level == d  # grown only as far as the answer
                 else:
                     assert t.grow() == []
                 if d > 0:
-                    x = t.merge_letter(q, p)
-                    assert t.distance(a.delta(p, x), a.delta(q, x)) == d - 1
+                    x = t.letter[i]
+                    assert t.dist[pair_index(8, a.delta(p, x), a.delta(q, x))] == d - 1
 
 
 class TestEppsteinGreedy:

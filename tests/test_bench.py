@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from synchro import bench
@@ -8,11 +10,11 @@ from synchro.bench import (
     ExperimentConfig,
     parse_algorithm,
     resolve_maxsize,
-    rows_to_csv,
     run_experiment,
     solve,
     summarize,
     trial_seed,
+    write_csv,
 )
 from synchro.results import NotSynchronizing
 from synchro.search import UNBOUNDED, log_cap, synchronize
@@ -142,8 +144,12 @@ class TestExperiment:
                 ",".join(f for i, f in enumerate(l.split(",")) if i != 6)
                 for l in lines
             ]
-        a = strip_time(rows_to_csv(run_experiment(cfg)))
-        b = strip_time(rows_to_csv(run_experiment(cfg)))
+        def csv_text(rows):
+            buf = io.StringIO()
+            write_csv(rows, buf)
+            return buf.getvalue()
+        a = strip_time(csv_text(run_experiment(cfg)))
+        b = strip_time(csv_text(run_experiment(cfg)))
         assert a == b
 
     def test_summary_means_match_rows(self):

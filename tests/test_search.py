@@ -152,6 +152,31 @@ class TestCutoffIbfs:
                 assert a.is_synchronizing_word(res.word)
 
 
+    def test_class_hook_sees_every_table_preimage(self, monkeypatch):
+        # A wrapper patched onto the class, as the benchmark's tracer does,
+        # sees each preimage from level 2 on; level 1 reads the inverse masks.
+        calls = []
+        orig = Automaton.preimage_bits
+
+        def counting(self, bits, a):
+            calls.append(bits)
+            return orig(self, bits, a)
+
+        monkeypatch.setattr(Automaton, "preimage_bits", counting)
+        assert cutoff_ibfs(cerny(8), SearchParams(maxlen=1, maxsize=8)) is None
+        assert calls == []
+        res = synchronize(cerny(8), 8)
+        k, sizes, length = 2, res.frontier_sizes, res.length
+        assert length == 49
+        assert k * sum(sizes[1 : length - 1]) < len(calls) <= k * sum(sizes[1:length])
+
+    def test_level_one_counts_one_lookup_per_preimage(self):
+        # cerny(20): 40 level-1 preimages, one lookup each (not ceil(20/8)),
+        # plus 39 dedup probes, since only {0} has an empty preimage
+        res = synchronize(cerny(20), 20)
+        assert res.level_ops[0] == 40 + 39
+
+
 class TestSynchronize:
     def test_cerny10(self):
         a = cerny(10)

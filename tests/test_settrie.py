@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from synchro import SetTrie, cerny, cutoff_ibfs, SearchParams
 
@@ -143,6 +143,39 @@ def test_take_largest_order_property(stored, c):
     assert [members_of(n, b) for b, _ in got] == expect
     assert all(payload == first[b] for b, payload in got)
     assert t.take_largest(c + 1)[: len(got)] == got
+
+
+def test_take_largest_breaks_ties_at_the_cut():
+    # 2 sets of 3 members, then all 10 pairs of 5 states: a cut at 5 takes
+    # the two triples and the three lexicographically least pairs
+    t = SetTrie(5)
+    for members in ([0, 1, 2], [2, 3, 4]):
+        t.insert(mask(members))
+    rng = random.Random(5)
+    pairs = [(p, q) for p in range(5) for q in range(p + 1, 5)]
+    rng.shuffle(pairs)
+    for pair in pairs:
+        t.insert(mask(pair))
+    got = [members_of(5, b) for b, _ in t.take_largest(5)]
+    assert got == [(0, 1, 2), (2, 3, 4), (0, 1), (0, 2), (0, 3)]
+    for c in range(1, len(t) + 1):
+        got = [members_of(5, b) for b, _ in t.take_largest(c)]
+        assert got == oracle_order([(0, 1, 2), (2, 3, 4)] + pairs)[:c]
+
+
+@given(stored_masks(), st.data())
+def test_take_largest_cut_property(stored, data):
+    # c below the number of distinct sets, so the popcount prefilter runs
+    n, masks = stored
+    t = SetTrie(n)
+    for i, bits in enumerate(masks):
+        t.insert(bits, i)
+    distinct = {members_of(n, b) for b in masks}
+    assume(len(distinct) >= 2)
+    c = data.draw(st.integers(1, len(distinct) - 1))
+    got = t.take_largest(c)
+    assert [members_of(n, b) for b, _ in got] == oracle_order(distinct)[:c]
+    assert all(payload == masks.index(b) for b, payload in got)
 
 
 def test_cerny_level_inserts_stay_within_n_sets():
