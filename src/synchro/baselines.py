@@ -22,15 +22,13 @@ class PairTable:
     word; ``dist[p*n+p]`` is 0. The table is the FIFO BFS from the diagonal
     backwards over the pair automaton, paused between levels: invariant,
     every pair at distance <= ``level`` is labelled and the rest read -1.
-    ``order`` holds every labelled index in BFS order, and level d is
-    ``order[starts[d]:starts[d+1]]``; level 0 is the diagonal. Letters take
-    one byte each when k <= 256. :meth:`grow` labels the next level. Since
-    the queue order is that of one uninterrupted BFS, so is every stored
-    letter.
+    ``order`` is the BFS queue, every labelled index in BFS order; level d is
+    ``order[starts[d]:starts[d+1]]``, level 0 the diagonal. Letters take one
+    byte each when k <= 256. :meth:`grow` labels further levels. Since the
+    queue order is that of one uninterrupted BFS, so is every stored letter.
     """
 
-    __slots__ = ("n", "dist", "letter", "order", "starts", "level", "_frontier",
-                 "_inv")
+    __slots__ = ("n", "dist", "letter", "order", "starts", "level", "_inv")
 
     def __init__(self, a: Automaton):
         n = a.n
@@ -38,46 +36,50 @@ class PairTable:
         self.dist = array("i", [-1]) * (n * n)
         self.letter = bytearray(n * n) if a.k <= 256 else array("i", [0]) * (n * n)
         self.level = 0
-        self._frontier = [p * n + p for p in range(n)]
-        for i in self._frontier:
+        self.order = array("i", range(0, n * n, n + 1))
+        for i in self.order:
             self.dist[i] = 0
-        self.order = array("i", self._frontier)
         self.starts = array("i", [0, n])
         # (letter, per-state preimage lists), one entry per letter
         self._inv = [
             (x, [a.preimage_states(x, p) for p in range(n)]) for x in range(a.k)
         ]
 
-    def grow(self) -> list[int]:
-        """Label the pairs at distance ``level + 1``, append their indices
-        ``p*n+q`` to ``order`` and return them in BFS order; once no pair is
-        left to label, return [] and leave ``level`` as it is."""
-        n, dist, letter = self.n, self.dist, self.letter
-        d1 = self.level + 1
-        found: list[int] = []
-        append = found.append
-        for i in self._frontier:
-            u = i // n
-            v = i - u * n
-            for x, inv in self._inv:
-                inv_u = inv[u]
-                inv_v = inv[v]
-                if not (inv_u and inv_v):
-                    continue
-                for p in inv_u:
-                    for q in inv_v:
-                        # p == q hits the diagonal, which is labelled 0
-                        j = p * n + q if p < q else q * n + p
-                        if dist[j] < 0:
-                            dist[j] = d1
-                            letter[j] = x
-                            append(j)
-        self._frontier = found
-        if found:
+    def grow(self, inside: bytes | bytearray) -> list[int]:
+        """Label levels until one holds pairs of states both flagged in
+        ``inside`` and return their indices ``p*n+q`` in BFS order (all-ones
+        flags: the next level); once the BFS ends, return [] instead."""
+        n, dist, letter, order, starts = (
+            self.n, self.dist, self.letter, self.order, self.starts)
+        append = order.append
+        d1 = self.level
+        while True:
+            d1 += 1
+            hits: list[int] = []
+            for i in order[starts[-2]:]:
+                u = i // n
+                v = i - u * n
+                for x, inv in self._inv:
+                    inv_u = inv[u]
+                    inv_v = inv[v]
+                    if not (inv_u and inv_v):
+                        continue
+                    for p in inv_u:
+                        for q in inv_v:
+                            # p == q hits the diagonal, which is labelled 0
+                            j = p * n + q if p < q else q * n + p
+                            if dist[j] < 0:
+                                dist[j] = d1
+                                letter[j] = x
+                                append(j)
+                                if inside[p] and inside[q]:
+                                    hits.append(j)
+            if len(order) == starts[-1]:
+                return hits
             self.level = d1
-            self.order.extend(found)
-            self.starts.append(len(self.order))
-        return found
+            starts.append(len(order))
+            if hits:
+                return hits
 
 
 def build_pair_table(a: Automaton) -> PairTable:
@@ -99,9 +101,9 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
     scan all m(m-1)/2 member pairs if the table has labelled at least that
     many off-diagonal pairs, else walk the table's levels upwards from 1 and
     take the least index in the first level holding a pair of members. If
-    no labelled pair joins two members, the table grows one level at a time
-    and only each new level is checked; since every unlabelled pair lies
-    beyond its level, the least labelled distance is the least distance."""
+    no labelled pair joins two members, the table grows to the first level
+    that holds one; since every unlabelled pair lies beyond its level, the
+    least labelled distance is the least distance."""
     n = a.n
     if n == 1:
         return SearchResult(0, (), "eppstein")
@@ -142,15 +144,11 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
                 if hits:
                     best = min(hits)
                     break
-        while best < 0:
-            # No pair of members lies within the table's level: grow it one
-            # level at a time, checking only each level's new pairs.
-            found = table.grow()
-            if not found:
+        if best < 0:
+            # no pair of members is labelled yet: grow to the first level with one
+            best = min(table.grow(inside), default=-1)
+            if best < 0:
                 raise NotSynchronizing("some state pair has no merging word")
-            hits = [i for i in found if inside[i // n] and inside[i % n]]
-            if hits:
-                best = min(hits)
         p, q = divmod(best, n)
         start = len(word)
         while p != q:

@@ -13,6 +13,7 @@ preceding Eppstein run. Non-synchronizing samples are recorded with length
 from __future__ import annotations
 
 import csv
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -193,9 +194,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRow]:
     position) regardless of execution order."""
     tasks = [(cfg, n, trial) for n in cfg.ns for trial in range(cfg.trials)]
     if cfg.jobs > 1:
-        # fork starts every worker at the first submit, so start no more
-        # workers than there are trials
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks))) as pool:
+        # fork starts every worker at the first submit: no more than trials or CPUs
+        workers = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_trial_worker, tasks, chunksize=4))
     else:
         chunks = [run_trial(cfg, n, trial) for cfg, n, trial in tasks]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from synchro import (
@@ -26,10 +28,16 @@ def pair_index(n, p, q):
     return p * n + q if p <= q else q * n + p
 
 
+def grow_level(t):
+    """Label the next level of pair table ``t`` and return its indices: with
+    every state flagged, grow stops at the first new level."""
+    return t.grow(b"\x01" * t.n)
+
+
 def grown_table(a):
     """The pair table of ``a`` with every mergeable pair labelled."""
     t = build_pair_table(a)
-    while t.grow():
+    while grow_level(t):
         pass
     return t
 
@@ -76,7 +84,7 @@ class TestPairTable:
         assert t.level == 0
         while True:
             level = t.level
-            found = t.grow()
+            found = grow_level(t)
             if not found:
                 break
             assert t.level == level + 1
@@ -88,7 +96,7 @@ class TestPairTable:
                 assert labelled == (0 <= d <= t.level)
                 assert t.dist[p * 8 + q] == (d if labelled else -1)
         assert t.level == max(truth.values(), default=0)
-        assert t.grow() == [] and t.level == level
+        assert list(grow_level(t)) == [] and t.level == level
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(6))
@@ -97,15 +105,30 @@ class TestPairTable:
         assert list(t.starts) == [0, 8]
         assert list(t.order) == [p * 8 + p for p in range(8)]
         while True:
-            found = t.grow()
+            found = grow_level(t)
             if not found:
                 break
             d = t.level
             assert len(t.starts) == d + 2
-            assert list(t.order[t.starts[d] : t.starts[d + 1]]) == found
+            assert list(t.order[t.starts[d] : t.starts[d + 1]]) == list(found)
         assert t.starts[-1] == len(t.order)
         assert len(t.order) == sum(1 for x in t.dist if x >= 0)
         assert len(set(t.order)) == len(t.order)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_full_growth_heap_stays_near_table_bytes(self, seed):
+        # order is the BFS queue: growth keeps no per-level list of boxed
+        # ints beside it (with such lists the peak was 2.3x the tables).
+        a = random_automaton(300, 2, seed)
+        tracemalloc.start()
+        try:
+            t = build_pair_table(a)
+            assert list(t.grow(bytes(a.n))) == []  # no flagged pair: grow in full
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table_bytes = sum(memoryview(x).nbytes for x in (t.dist, t.letter, t.order))
+        assert peak < 1.5 * table_bytes
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_eager_oracle_with_wide_alphabet(self, seed):
@@ -120,16 +143,19 @@ class TestPairTable:
         a = random_automaton(8, k, seed)
         for p in range(8):
             for q in range(8):
+                d = brute_pair_merge_distance(a, p, q, 64)
                 t = build_pair_table(a)
                 i = pair_index(8, q, p)
-                while t.dist[i] < 0 and t.grow():
-                    pass
-                d = t.dist[i]
-                assert d == brute_pair_merge_distance(a, p, q, 64)
+                if p != q:
+                    # flagging p and q grows to the level of {p, q} only
+                    inside = bytearray(8)
+                    inside[p] = inside[q] = 1
+                    assert list(t.grow(inside)) == ([i] if d > 0 else [])
+                assert t.dist[i] == d
                 if d >= 0:
                     assert t.level == d  # grown only as far as the answer
                 else:
-                    assert t.grow() == []
+                    assert list(grow_level(t)) == []
                 if d > 0:
                     x = t.letter[i]
                     assert t.dist[pair_index(8, a.delta(p, x), a.delta(q, x))] == d - 1

@@ -218,9 +218,16 @@ class TestExperiment:
                 return map(fn, tasks)
 
         monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 3)
         cfg = ExperimentConfig(ns=(5,), trials=2, algorithms=("eppstein",), jobs=8)
         assert len(run_experiment(cfg)) == 2
         assert seen == [2]
+        # no more workers than CPUs, however many trials or jobs are asked for
+        cfg = ExperimentConfig(ns=(5,), trials=5, algorithms=("eppstein",), jobs=100000)
+        assert len(run_experiment(cfg)) == 5
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: None)
+        assert len(run_experiment(cfg)) == 5
+        assert seen == [2, 3, 1]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
