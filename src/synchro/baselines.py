@@ -105,8 +105,6 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
     that holds one; since every unlabelled pair lies beyond its level, the
     least labelled distance is the least distance."""
     n = a.n
-    if n == 1:
-        return SearchResult(0, (), "eppstein")
     table = build_pair_table(a)
     dist = table.dist
     letter_of = table.letter
@@ -173,12 +171,12 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
     return SearchResult(len(word), tuple(word), "eppstein")
 
 
-def exact_shortest(a: Automaton, max_states: int = EXACT_MAX_STATES) -> SearchResult:
+def exact_shortest(a: Automaton) -> SearchResult:
     """A shortest reset word, via forward BFS in the power automaton from the
-    full state set. Limited to small n since the reachable subset space can
-    be exponential."""
-    if a.n > max_states:
-        raise InstanceTooLarge(f"n={a.n} exceeds exact-search limit {max_states}")
+    full state set. Limited to n <= EXACT_MAX_STATES since the reachable
+    subset space can be exponential."""
+    if a.n > EXACT_MAX_STATES:
+        raise InstanceTooLarge(f"n={a.n} exceeds exact-search limit {EXACT_MAX_STATES}")
     full = a.full_bits
     if a.n == 1:
         return SearchResult(0, (), "exact")

@@ -16,15 +16,13 @@ import csv
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, TextIO
 
 from .automaton import Automaton, random_automaton
 from .baselines import EXACT_MAX_STATES, eppstein_greedy, exact_shortest
 from .results import NotSynchronizing, SearchResult
 from .search import UNBOUNDED, SearchParams, cutoff_ibfs, log_cap, synchronize
-
-CSV_COLUMNS = ("n", "k", "trial", "seed", "algorithm", "length", "time_s", "frontier_peak")
 
 KNOWN_ALGORITHMS = ("eppstein", "exact", "cutoff-ibfs")
 
@@ -41,19 +39,14 @@ def parse_algorithm(tag: str) -> tuple[str, Optional[str]]:
             raise ValueError(f"{name} takes no maxsize spec: {tag!r}")
         return name, None
     if not spec:
-        raise ValueError(f"cutoff-ibfs needs a maxsize spec, e.g. {tag}:n")
-    check_maxsize(spec)
-    return name, spec
-
-
-def check_maxsize(spec: str) -> None:
-    """Raise ValueError unless spec is log, n, unbounded or an integer >= 1."""
+        raise ValueError(f"cutoff-ibfs needs a maxsize spec, e.g. {name}:n")
     # isdigit() alone also accepts digits int() rejects, such as "²"
     digits = spec.isascii() and spec.isdigit()
     if not (spec in ("log", "n", "unbounded") or (digits and int(spec) >= 1)):
         raise ValueError(
             f"bad maxsize {spec!r}: use log, n, unbounded or an integer >= 1"
         )
+    return name, spec
 
 
 def resolve_maxsize(spec: str, n: int) -> Optional[int]:
@@ -150,16 +143,11 @@ class TrialRow:
     frontier_peak: int
 
     def as_csv(self) -> list[str]:
-        return [
-            str(self.n),
-            str(self.k),
-            str(self.trial),
-            str(self.seed),
-            self.algorithm,
-            str(self.length),
-            f"{self.time_s:.6f}",
-            str(self.frontier_peak),
-        ]
+        values = (getattr(self, name) for name in CSV_COLUMNS)
+        return [f"{v:.6f}" if isinstance(v, float) else str(v) for v in values]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(TrialRow))
 
 
 def run_trial(cfg: ExperimentConfig, n: int, trial: int) -> list[TrialRow]:
@@ -206,8 +194,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRow]:
 def write_csv(rows: list[TrialRow], out: TextIO) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(row.as_csv())
+    writer.writerows(row.as_csv() for row in rows)
 
 
 @dataclass
@@ -223,17 +210,11 @@ class SummaryLine:
 def summarize(rows: list[TrialRow]) -> list[SummaryLine]:
     """Per-(n, algorithm) means, in first-appearance order. Mean length is
     over synchronizing samples only; mean time is over all samples."""
-    order: list[tuple[int, str]] = []
     groups: dict[tuple[int, str], list[TrialRow]] = {}
     for row in rows:
-        key = (row.n, row.algorithm)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault((row.n, row.algorithm), []).append(row)
     out = []
-    for n, algorithm in order:
-        grp = groups[(n, algorithm)]
+    for (n, algorithm), grp in groups.items():
         sync = [r for r in grp if r.length >= 0]
         out.append(
             SummaryLine(

@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -27,8 +28,7 @@ from .automaton import (
     random_automaton,
 )
 from .bench import (
-    KNOWN_ALGORITHMS, ExperimentConfig, check_maxsize, format_summary,
-    run_experiment, solve, write_csv,
+    ExperimentConfig, format_summary, parse_algorithm, run_experiment, solve, write_csv,
 )
 from .results import InstanceTooLarge, NotSynchronizing, SearchResult
 
@@ -38,6 +38,8 @@ EXIT_NOT_FOUND = 3
 EXIT_NOT_SYNCHRONIZING = 4
 
 JOBS_ENV = "SYNCHRO_JOBS"
+
+ALGO_HELP = "algorithm tags: eppstein, exact, cutoff-ibfs:{log|n|unbounded|<int>}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,11 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="uniformly random automaton (see --seed)",
     )
     run.add_argument("--seed", type=int, default=0, help="seed for --random")
-    run.add_argument("--algo", default="cutoff-ibfs", choices=KNOWN_ALGORITHMS)
-    run.add_argument(
-        "--maxsize", default="n",
-        help="frontier cap for cutoff-ibfs: log, n, unbounded, or an integer",
-    )
+    run.add_argument("--algo", default="cutoff-ibfs:n", help=ALGO_HELP)
     run.add_argument(
         "--maxlen", type=int, default=None,
         help="longest word to accept (exit 3 if longer); cutoff-ibfs then "
@@ -79,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument(
         "--algos", nargs="+", default=["eppstein", "cutoff-ibfs:log", "cutoff-ibfs:n"],
-        help="algorithm tags: eppstein, exact, cutoff-ibfs:{log|n|unbounded|<int>}",
+        help=ALGO_HELP,
     )
     bench.add_argument("--out", type=Path, default=None, help="CSV output path")
     bench.add_argument("--start-mode", default="all", choices=START_MODES)
@@ -115,19 +113,18 @@ def _cmd_run(args) -> int:
         return EXIT_ERROR
 
     try:
-        check_maxsize(args.maxsize)
+        parse_algorithm(args.algo)
         if args.maxlen is not None and args.maxlen < 0:
             raise ValueError(f"bad --maxlen {args.maxlen}: must be >= 0")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    tag = f"cutoff-ibfs:{args.maxsize}" if args.algo == "cutoff-ibfs" else args.algo
     print(f"n: {a.n}  k: {a.k}")
     try:
         t0 = time.perf_counter()
         res = solve(
-            a, tag, maxlen=args.maxlen, start_mode=args.start_mode,
+            a, args.algo, maxlen=args.maxlen, start_mode=args.start_mode,
             permute_by_indegree=args.permute_indegree,
         )
         elapsed = time.perf_counter() - t0
@@ -163,23 +160,15 @@ def _cmd_bench(args) -> int:
             permute_by_indegree=args.permute_indegree,
             jobs=int(jobs),
         )
-    except ValueError as exc:
+        # open the file first, so a bad path fails before the trials run
+        out = nullcontext(sys.stdout) if args.out is None else open(args.out, "w")
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    if args.out is None:
+    with out as fh:
         rows = run_experiment(cfg)
-        write_csv(rows, sys.stdout)
-    else:
-        # open the file first, so a bad path fails before the trials run
-        try:
-            fh = open(args.out, "w")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        with fh:
-            rows = run_experiment(cfg)
-            write_csv(rows, fh)
+        write_csv(rows, fh)
     print(f"# seed={cfg.seed} jobs={cfg.jobs}")
     print(format_summary(rows), end="")
     return EXIT_OK

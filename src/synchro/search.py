@@ -107,12 +107,11 @@ def cutoff_ibfs(a: Automaton, params: SearchParams) -> Optional[SearchResult]:
                 frontier_sizes=sizes,
                 level_ops=level_ops,
             )
-        cap = len(trie) if params.maxsize is UNBOUNDED else params.maxsize
-        taken = trie.take_largest(cap) if len(trie) else []
+        if not trie:
+            break
+        taken = trie.take_largest(params.maxsize or len(trie))
         frontier = [rec for _, rec in taken]
         sizes.append(len(frontier))
-        if not frontier:
-            break
         masks = [bits for bits, _ in taken]
         if masks == checkpoint:
             break

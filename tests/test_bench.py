@@ -8,6 +8,7 @@ from synchro.baselines import eppstein_greedy, exact_shortest
 from synchro.bench import (
     CSV_COLUMNS,
     ExperimentConfig,
+    TrialRow,
     parse_algorithm,
     resolve_maxsize,
     run_experiment,
@@ -151,6 +152,20 @@ class TestExperiment:
         a = strip_time(csv_text(run_experiment(cfg)))
         b = strip_time(csv_text(run_experiment(cfg)))
         assert a == b
+
+    def test_csv_bytes(self):
+        # the header and row layout of earlier versions, byte for byte
+        rows = [
+            TrialRow(8, 2, 1, 123, "cutoff-ibfs:n", 7, 0.0123456789, 5),
+            TrialRow(8, 2, 2, 124, "eppstein", -1, 1.5, 0),
+        ]
+        buf = io.StringIO()
+        write_csv(rows, buf)
+        assert buf.getvalue() == (
+            "n,k,trial,seed,algorithm,length,time_s,frontier_peak\n"
+            "8,2,1,123,cutoff-ibfs:n,7,0.012346,5\n"
+            "8,2,2,124,eppstein,-1,1.500000,0\n"
+        )
 
     def test_summary_means_match_rows(self):
         cfg = ExperimentConfig(

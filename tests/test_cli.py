@@ -1,9 +1,13 @@
 import csv
 import io
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from synchro import cerny, cli, serialize_automaton
+from synchro import cerny, cli, random_automaton, serialize_automaton
+from synchro.bench import ExperimentConfig, run_experiment, trial_seed
 from synchro.cli import (
     EXIT_ERROR,
     EXIT_NOT_FOUND,
@@ -21,7 +25,7 @@ def run_cli(capsys, *argv):
 
 def test_run_cerny_cutoff_maxsize_n(capsys):
     code, out, _ = run_cli(
-        capsys, "run", "--cerny", "10", "--algo", "cutoff-ibfs", "--maxsize", "n"
+        capsys, "run", "--cerny", "10", "--algo", "cutoff-ibfs:n"
     )
     assert code == EXIT_OK
     assert "length: 81" in out
@@ -49,7 +53,7 @@ def test_exact_matches_unbounded_cutoff(capsys):
 
     base = ("run", "--random", "6", "2", "--seed", "7")
     exact = length_of(*base, "--algo", "exact")
-    heur = length_of(*base, "--algo", "cutoff-ibfs", "--maxsize", "unbounded")
+    heur = length_of(*base, "--algo", "cutoff-ibfs:unbounded")
     assert exact == heur
 
 
@@ -62,8 +66,7 @@ def test_not_synchronizing_exit_code(tmp_path, capsys):
 
 def test_not_found_exit_code(capsys):
     code, _, _ = run_cli(
-        capsys, "run", "--cerny", "4", "--algo", "cutoff-ibfs",
-        "--maxsize", "4", "--maxlen", "3",
+        capsys, "run", "--cerny", "4", "--algo", "cutoff-ibfs:4", "--maxlen", "3",
     )
     assert code == EXIT_NOT_FOUND
 
@@ -109,7 +112,7 @@ def test_file_round_trip_run(tmp_path, capsys):
 def test_run_start_mode_and_permute(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--random", "20", "2", "--seed", "3",
-        "--algo", "cutoff-ibfs", "--maxsize", "5",
+        "--algo", "cutoff-ibfs:5",
         "--start-mode", "high-indegree", "--permute-indegree",
     )
     assert code == EXIT_OK
@@ -156,16 +159,15 @@ def test_bench_to_stdout(capsys):
 @pytest.mark.parametrize(
     "argv, env",
     [
-        (("run", "--cerny", "4", "--maxsize", "0"), {}),
+        (("run", "--cerny", "4", "--algo", "cutoff-ibfs:0"), {}),
         (("run", "--cerny", "4", "--maxlen", "-1"), {}),
         (("bench", "--n", "5", "--trials", "1"), {"SYNCHRO_JOBS": "abc"}),
         (("bench", "--n", "30", "--trials", "1", "--algos", "exact"), {}),
-        (("run", "--cerny", "4", "--algo", "eppstein", "--maxsize", "0"), {}),
         (("run", "--random", "21", "2", "--algo", "exact"), {}),
         (("bench", "--n", "6", "6", "--trials", "2"), {}),
         (("bench", "--n", "6", "--trials", "3", "--algos", "eppstein", "eppstein"), {}),
-        (("run", "--cerny", "3", "--maxsize", "²"), {}),
-        (("run", "--cerny", "3", "--maxsize", "３"), {}),
+        (("run", "--cerny", "3", "--algo", "cutoff-ibfs:²"), {}),
+        (("run", "--cerny", "3", "--algo", "cutoff-ibfs:３"), {}),
         (("bench", "--n", "4", "--trials", "1", "--algos", "cutoff-ibfs:²"), {}),
         (("bench", "--n", "4", "--trials", "1", "--algos", "cutoff-ibfs:３"), {}),
         (("bench", "--n", "5", "--trials", "1"), {"SYNCHRO_JOBS": "²"}),
@@ -176,7 +178,6 @@ def test_bench_to_stdout(capsys):
         "maxlen-negative",
         "jobs-not-an-integer",
         "exact-n-too-large",
-        "eppstein-maxsize-0",
         "run-exact-n-too-large",
         "bench-repeated-n",
         "bench-repeated-algo",
@@ -203,16 +204,90 @@ def test_bad_input_exits_with_error_not_traceback(capsys, monkeypatch, argv, env
 @pytest.mark.parametrize("spec", ["²", "３"])
 @pytest.mark.parametrize(
     "argv",
-    [("run", "--cerny", "3", "--maxsize"), ("bench", "--n", "4", "--trials", "1")],
+    [("run", "--cerny", "3", "--algo"), ("bench", "--n", "4", "--trials", "1", "--algos")],
     ids=["run", "bench"],
 )
 def test_non_ascii_digit_maxsize_is_a_bad_maxsize(capsys, argv, spec):
-    if argv[0] == "bench":
-        argv = (*argv, "--algos", f"cutoff-ibfs:{spec}")
-    else:
-        argv = (*argv, spec)
-    code, _, err = run_cli(capsys, *argv)
+    code, _, err = run_cli(capsys, *argv, f"cutoff-ibfs:{spec}")
     assert code == EXIT_ERROR
     assert err == (
         f"error: bad maxsize {spec!r}: use log, n, unbounded or an integer >= 1\n"
     )
+
+
+PARITY_TAGS = (
+    "eppstein", "exact", "cutoff-ibfs:log", "cutoff-ibfs:n",
+    "cutoff-ibfs:unbounded", "cutoff-ibfs:3",
+)
+
+
+def test_run_length_matches_the_bench_row(tmp_path, capsys):
+    # run and bench take one tag grammar, so a tag gives the same word length
+    rows = run_experiment(
+        ExperimentConfig(ns=(8,), trials=4, seed=0, algorithms=PARITY_TAGS)
+    )
+    assert len(rows) == 4 * len(PARITY_TAGS)
+    for row in rows:
+        assert row.seed == trial_seed(0, 8, row.trial)
+        path = tmp_path / f"trial{row.trial}.txt"
+        path.write_text(serialize_automaton(random_automaton(8, 2, row.seed)))
+        code, out, _ = run_cli(capsys, "run", "--file", str(path), "--algo", row.algorithm)
+        if row.length < 0:
+            assert code == EXIT_NOT_SYNCHRONIZING
+        else:
+            assert code == EXIT_OK
+            assert f"length: {row.length}\n" in out
+
+
+def test_run_needs_a_maxsize_in_the_tag(capsys):
+    code, out, err = run_cli(capsys, "run", "--cerny", "4", "--algo", "cutoff-ibfs")
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == "error: cutoff-ibfs needs a maxsize spec, e.g. cutoff-ibfs:n\n"
+
+
+def test_run_has_no_maxsize_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--cerny", "4", "--maxsize", "n"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --maxsize" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tag", ["cutoff-ibfs", "cutoff-ibfs:", "cutoff-ibfs:0", "cutoff-ibfs:-1",
+            "eppstein:3", "exact:n", "cycle", ""],
+)
+def test_run_rejects_a_tag_as_bench_does(capsys, tag):
+    run = run_cli(capsys, "run", "--cerny", "4", "--algo", tag)
+    bench = run_cli(capsys, "bench", "--n", "4", "--trials", "1", "--algos", tag)
+    assert run[0] == bench[0] == EXIT_ERROR
+    assert run[2] == bench[2]
+    assert run[2].startswith("error: ") and "Traceback" not in run[2]
+
+
+def _readme_run_lines():
+    """The `synchro run` commands of README's fenced blocks, `\\` continuations
+    joined, as (argv after "synchro", expected length or None)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M)
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            command, _, comment = line.partition("#")
+            if not command.startswith("synchro run ") or "--file" in command:
+                continue
+            length = re.fullmatch(r"\s*length (\d+)\s*", comment)
+            commands.append(
+                (shlex.split(command)[1:], int(length[1]) if length else None)
+            )
+    return commands
+
+
+def test_readme_run_examples_run(capsys):
+    commands = _readme_run_lines()
+    assert len(commands) >= 3
+    for argv, length in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK, (argv, err)
+        if length is not None:
+            assert f"length: {length}\n" in out, argv
