@@ -30,12 +30,14 @@ def _bit_members(bits: int) -> list[int]:
 def _byte_tables(masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """One 256-entry table per byte of a state mask: entry ``b`` of table
     ``j`` is the OR of ``masks[8*j + i]`` over the bits ``i`` set in ``b``.
-    A short last byte is padded with zero masks."""
+    A short last byte is padded with zero masks. Equal entries share one int
+    where the OR would only copy it: ``0 | x`` is ``x``, and with ``x == 0``
+    the new half repeats ``t``."""
     tables = []
     for j in range(0, len(masks), 8):
         t = [0]
         for x in masks[j : j + 8]:
-            t += [v | x for v in t]
+            t += [x, *[v | x for v in t[1:]]] if x else t
         tables.append(tuple(t + [0] * (256 - len(t))))
     return tuple(tables)
 
@@ -94,10 +96,6 @@ class Automaton:
             inv = tuple(masks_per_letter)
             self._inv_bits = inv
         return inv
-
-    def preimage_states(self, a: int, p: int) -> list[int]:
-        """The states q with delta(q, a) = p."""
-        return _bit_members(self._inverse()[a][p])
 
     def in_degree(self, a: int, p: int) -> int:
         return self._inverse()[a][p].bit_count()

@@ -40,10 +40,14 @@ class PairTable:
         for i in self.order:
             self.dist[i] = 0
         self.starts = array("i", [0, n])
-        # (letter, per-state preimage lists), one entry per letter
-        self._inv = [
-            (x, [a.preimage_states(x, p) for p in range(n)]) for x in range(a.k)
-        ]
+        # (letter, per-state preimage lists, ascending), one entry per letter,
+        # read off the columns so that no table is cached on ``a``
+        self._inv = []
+        for x, col in enumerate(zip(*a.rows)):
+            lists: list[list[int]] = [[] for _ in range(n)]
+            for q, p in enumerate(col):
+                lists[p].append(q)
+            self._inv.append((x, lists))
 
     def grow(self, inside: bytes | bytearray) -> list[int]:
         """Label levels until one holds pairs of states both flagged in

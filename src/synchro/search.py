@@ -52,22 +52,27 @@ def cutoff_ibfs(a: Automaton, params: SearchParams) -> Optional[SearchResult]:
     if n == 1:
         return SearchResult(0, (), "cutoff-ibfs", frontier_sizes=[1])
 
+    # The search runs on a mirrored copy, in which state q is n-1-q. There a
+    # set's mask is its own mask bit-reversed, so among sets of equal size
+    # the lexicographically smaller member list has the larger mask, which
+    # is the order take_largest ranks by. The copy's tables die with the call.
+    r = Automaton([[n - 1 - p for p in row] for row in reversed(m.rows)])
     # Frontier records are (bits, letter, parent) tuples, parent None at
     # level 0; the goal's letters, parent to parent, are the word in order.
     full = m.full_bits
     nbytes = (n + 7) // 8  # table lookups per preimage_bits call
     letters = range(k)
-    frontier = [(1 << q, None, None) for q in start_set(m, params.start_mode)]
+    frontier = [(1 << (n - 1 - q), None, None) for q in start_set(m, params.start_mode)]
     sizes = [len(frontier)]
     level_ops: list[int] = []
     # Level 0 holds singletons, and the preimage of {q} under x is the
     # inverse mask inv[x][q]: one lookup in place of nbytes.
-    inv = m._inverse()
+    inv = r._inverse()
 
     def singleton_preimage(bits: int, x: int) -> int:
         return inv[x][bits.bit_length() - 1]
 
-    preimage = m.preimage_bits
+    preimage = r.preimage_bits
     # Brent cycle check: a level's mask list (canonical, as take_largest
     # orders it) fixes every later level, so if it repeats the mask list
     # saved at the last power-of-two level, no later level reaches the goal.

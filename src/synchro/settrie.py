@@ -8,13 +8,7 @@ so no trie structure is needed.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
 from typing import Any
-
-# _REVERSED_BYTE[b] is the byte b with its 8 bits in reverse order, built
-# with the multiply-and-modulus byte reversal ("Bit Twiddling Hacks"), which
-# costs a sixth of formatting and reparsing each byte at import.
-_REVERSED_BYTE = bytes((b * 0x0202020202 & 0x010884422010) % 1023 for b in range(256))
 
 
 class SetTrie:
@@ -52,32 +46,12 @@ class SetTrie:
 
     def take_largest(self, c: int) -> list[tuple[int, Any]]:
         """Up to ``c`` stored ``(bits, payload)`` pairs, larger sets first and
-        sets of equal size in lexicographic order of their sorted members.
-        Returns fewer if fewer are stored."""
+        sets of equal size larger mask first. Returns fewer if fewer are
+        stored."""
         if c < 1:
             raise ValueError("need c >= 1")
         sets = self._sets
-        masks = list(sets)
-        counts = list(map(int.bit_count, masks))
-        if c < len(masks):
-            # Only sets at least as large as the c-th largest can be taken.
-            least = sorted(counts)[-c]
-            keep = list(map(least.__le__, counts))
-            masks = list(compress(masks, keep))
-            counts = list(compress(counts, keep))
-        # Reversing the mask's bits puts state 0 on top, so among sets of
-        # equal size the lexicographically smaller member list has the larger
-        # reversed mask. Distinct masks have distinct keys, so the sort never
-        # compares the masks themselves.
-        nbytes = (self.n + 7) // 8
-        keys = map(
-            int.from_bytes,
-            map(
-                bytes.translate,
-                map(int.to_bytes, masks, repeat(nbytes), repeat("little")),
-                repeat(_REVERSED_BYTE),
-            ),
-            repeat("big"),
-        )
-        ranked = sorted(zip(counts, keys, masks), reverse=True)
-        return [(bits, sets[bits]) for _, _, bits in ranked[:c]]
+        # Two sorts in C: by mask, then stably by size, both largest first.
+        ranked = sorted(sets, reverse=True)
+        ranked.sort(key=int.bit_count, reverse=True)
+        return [(bits, sets[bits]) for bits in ranked[:c]]

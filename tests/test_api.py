@@ -61,3 +61,4 @@ def test_traced_solve_tallies_search_calls(monkeypatch):
             calls[name] = calls.get(name, 0) + tally[tracer.CALLS]
     assert calls.get("preimage", 0) > 0
     assert calls.get("settrie.insert", 0) > 0
+    assert calls.get("settrie.take", 0) > 0

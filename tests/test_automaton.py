@@ -34,10 +34,11 @@ class TestAutomatonConstruction:
 
     def test_inverse_is_exact_relational_inverse(self):
         a = random_automaton(9, 3, seed=5)
+        inv = a._inverse()
         for letter in range(a.k):
             total = 0
             for p in range(a.n):
-                qs = a.preimage_states(letter, p)
+                qs = [q for q in range(a.n) if inv[letter][p] >> q & 1]
                 total += len(qs)
                 for q in qs:
                     assert a.delta(q, letter) == p

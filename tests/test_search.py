@@ -203,6 +203,23 @@ class TestSynchronize:
         assert res.length <= epp.length
         assert a.is_synchronizing_word(res.word)
 
+    @pytest.mark.parametrize("start_mode", START_MODES)
+    @pytest.mark.parametrize("permute", [False, True], ids=["plain", "permuted"])
+    def test_caller_automaton_keeps_no_tables(self, start_mode, permute):
+        # the search builds its tables on a copy and the pair table reads the
+        # columns, so no table outlives the call on the caller's automaton;
+        # only the start modes and the relabelling read the caller's inverse
+        opts = dict(start_mode=start_mode, permute_by_indegree=permute)
+        for solve in (
+            lambda a: synchronize(a, 12, **opts),
+            lambda a: cutoff_ibfs(a, SearchParams(maxlen=121, maxsize=12, **opts)),
+        ):
+            a = cerny(12)
+            assert solve(a).length == 121
+            assert a._pre_tables is None
+            if start_mode == "all" and not permute:
+                assert a._inv_bits is None
+
     def test_falls_back_to_eppstein_word(self):
         # cap 1 on this automaton cannot beat the bound within maxlen
         a = cerny(4)

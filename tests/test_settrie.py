@@ -15,8 +15,29 @@ def members_of(n, bits):
 
 
 def oracle_order(sets):
-    """Larger sets first, equal sizes lexicographic by sorted members."""
-    return sorted(sets, key=lambda m: (-len(m), m))
+    """Larger sets first; equal sizes larger mask first, that is, larger
+    members compared from the top down."""
+    return sorted(sets, key=lambda m: (len(m), sorted(m, reverse=True)), reverse=True)
+
+
+# The search's cut order on the user's numbering: equal sizes ranked by the
+# mask with its bits reversed byte by byte, larger first, which puts the
+# lexicographically smaller member list first.
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def old_order(n, masks):
+    nbytes = (n + 7) // 8
+
+    def key(bits):
+        chunks = bits.to_bytes(nbytes, "little").translate(_REVERSED_BYTE)
+        return bits.bit_count(), int.from_bytes(chunks, "big")
+
+    return sorted(masks, key=key, reverse=True)
+
+
+def mirrored(n, bits):
+    return sum(1 << (n - 1 - q) for q in range(n) if bits >> q & 1)
 
 
 def test_insert_then_duplicate():
@@ -64,7 +85,7 @@ def test_take_largest_fewer_than_requested_and_tie_order():
     t = SetTrie(6)
     t.insert(mask([2]))
     t.insert(mask([1]))
-    assert [members_of(6, b) for b, _ in t.take_largest(5)] == [(1,), (2,)]
+    assert [members_of(6, b) for b, _ in t.take_largest(5)] == [(2,), (1,)]
 
 
 def test_take_largest_one_returns_a_maximum():
@@ -88,7 +109,7 @@ def test_dedup_matches_python_set_oracle():
     assert len(t) == len(seen)
     stored = [members_of(12, b) for b, _ in t.take_largest(len(t))]
     assert set(stored) == seen
-    # non-increasing cardinality, lexicographic within equal cardinality
+    # non-increasing cardinality, larger mask first within equal cardinality
     assert stored == oracle_order(seen)
     assert len(stored) == len(set(stored))
 
@@ -147,7 +168,7 @@ def test_take_largest_order_property(stored, c):
 
 def test_take_largest_breaks_ties_at_the_cut():
     # 2 sets of 3 members, then all 10 pairs of 5 states: a cut at 5 takes
-    # the two triples and the three lexicographically least pairs
+    # the two triples and the three pairs with the largest masks
     t = SetTrie(5)
     for members in ([0, 1, 2], [2, 3, 4]):
         t.insert(mask(members))
@@ -157,7 +178,7 @@ def test_take_largest_breaks_ties_at_the_cut():
     for pair in pairs:
         t.insert(mask(pair))
     got = [members_of(5, b) for b, _ in t.take_largest(5)]
-    assert got == [(0, 1, 2), (2, 3, 4), (0, 1), (0, 2), (0, 3)]
+    assert got == [(2, 3, 4), (0, 1, 2), (3, 4), (2, 4), (1, 4)]
     for c in range(1, len(t) + 1):
         got = [members_of(5, b) for b, _ in t.take_largest(c)]
         assert got == oracle_order([(0, 1, 2), (2, 3, 4)] + pairs)[:c]
@@ -165,7 +186,7 @@ def test_take_largest_breaks_ties_at_the_cut():
 
 @given(stored_masks(), st.data())
 def test_take_largest_cut_property(stored, data):
-    # c below the number of distinct sets, so the popcount prefilter runs
+    # c below the number of distinct sets, so the cut drops some of them
     n, masks = stored
     t = SetTrie(n)
     for i, bits in enumerate(masks):
@@ -176,6 +197,21 @@ def test_take_largest_cut_property(stored, data):
     got = t.take_largest(c)
     assert [members_of(n, b) for b, _ in got] == oracle_order(distinct)[:c]
     assert all(payload == masks.index(b) for b, payload in got)
+
+
+@given(st.integers(1, 70), st.data())
+def test_mirrored_masks_rank_in_the_old_order(n, data):
+    # ranking the mirrored masks by (size, mask) is the old bit-reversed
+    # order of the original masks, for n on and off byte boundaries
+    one_mask = st.integers(1, (1 << n) - 1) | st.sets(
+        st.integers(0, n - 1), min_size=1, max_size=3
+    ).map(mask)
+    masks = data.draw(st.lists(one_mask, min_size=1, max_size=40, unique=True))
+    t = SetTrie(n)
+    for bits in masks:
+        t.insert(mirrored(n, bits), bits)
+    c = data.draw(st.integers(1, len(masks)))
+    assert [payload for _, payload in t.take_largest(c)] == old_order(n, masks)[:c]
 
 
 def test_cerny_level_inserts_stay_within_n_sets():
