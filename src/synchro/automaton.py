@@ -294,9 +294,21 @@ class AutomatonFormatError(ValueError):
         self.line = line
 
 
+def _decimal(field: str, what: str, line: int) -> int:
+    # int() also reads "1_0", "+7", "-0" and non-ASCII digits such as "３",
+    # and isdigit() alone also accepts digits int() rejects, such as "²"
+    if field.isascii() and field.isdigit():
+        try:
+            return int(field)
+        except ValueError:  # past the interpreter's limit on int digits
+            raise AutomatonFormatError(f"{what} has too many digits", line) from None
+    raise AutomatonFormatError(f"{what} {field!r} is not ASCII decimal digits", line)
+
+
 def parse_automaton(text: str) -> Automaton:
     """Parse the interchange text format: first line "n k", then n lines of k
-    whitespace-separated successor states (0-based)."""
+    whitespace-separated successor states (0-based). Every number is written
+    in ASCII decimal digits alone, with no sign, underscore or other digit."""
     lines = text.splitlines()
     if not lines or not lines[0].split():
         raise AutomatonFormatError("expected header 'n k'", 1)
@@ -305,10 +317,7 @@ def parse_automaton(text: str) -> Automaton:
         raise AutomatonFormatError(
             f"expected header 'n k', got {len(header)} fields", 1
         )
-    try:
-        n, k = int(header[0]), int(header[1])
-    except ValueError:
-        raise AutomatonFormatError(f"non-integer header {lines[0]!r}", 1) from None
+    n, k = (_decimal(field, "header field", 1) for field in header)
     if n < 1 or k < 1:
         raise AutomatonFormatError(f"need n >= 1 and k >= 1, got n={n} k={k}", 1)
 
@@ -323,13 +332,8 @@ def parse_automaton(text: str) -> Automaton:
                 f"expected {k} entries in row {q}, got {len(fields)}", lineno
             )
         row = []
-        for a, field in enumerate(fields):
-            try:
-                p = int(field)
-            except ValueError:
-                raise AutomatonFormatError(
-                    f"non-integer entry {field!r}", lineno
-                ) from None
+        for field in fields:
+            p = _decimal(field, "entry", lineno)
             if not 0 <= p < n:
                 raise AutomatonFormatError(
                     f"state {p} out of range [0, {n})", lineno

@@ -22,9 +22,10 @@ class SearchResult:
 
     ``frontier_sizes[l]`` is the frontier size after trimming at level ``l``
     (index 0 = start singletons); empty for searches without a frontier.
-    ``level_ops`` counts, per level, the preimage table lookups plus one per
-    dedup probe, for complexity checks: ceil(n/8) lookups per preimage, but
-    one at level 1 (``level_ops[0]``), whose singleton preimages are read
+    ``level_ops`` counts, per level, the preimage table lookups made plus one
+    per dedup probe, for complexity checks: ceil(n/8) lookups per preimage
+    taken from the tables, none for a preimage reused from the level before,
+    and one at level 1 (``level_ops[0]``), whose singleton preimages are read
     straight from the inverse table.
     """
 

@@ -68,25 +68,39 @@ def cutoff_ibfs(a: Automaton, params: SearchParams) -> Optional[SearchResult]:
     # Level 0 holds singletons, and the preimage of {q} under x is the
     # inverse mask inv[x][q]: one lookup in place of nbytes.
     inv = r._inverse()
-
-    def singleton_preimage(bits: int, x: int) -> int:
-        return inv[x][bits.bit_length() - 1]
-
     preimage = r.preimage_bits
     # Brent cycle check: a level's mask list (canonical, as take_largest
     # orders it) fixes every later level, so if it repeats the mask list
     # saved at the last power-of-two level, no later level reaches the goal.
     checkpoint = None
+    # A narrow frontier is mostly the frontier of the level before, so each
+    # level keeps the preimage lists of the sets it expands, and the next
+    # level reads a recurring set's list from there instead of the tables.
+    # Only one level is carried. Level 1 records nothing: its lists are one
+    # lookup each, and carrying them would hold one list per start state.
+    known: dict[int, list[int]] = {}
 
     for level in range(1, params.maxlen + 1):
         trie = SetTrie(n)
         insert = trie.insert
-        pre, lookups = (singleton_preimage, 1) if level == 1 else (preimage, nbytes)
+        first = level == 1
+        expanded: dict[int, list[int]] = {}
+        lookups = 0
         goal = None
-        for i, rec in enumerate(frontier):
+        for rec in frontier:
             sbits = rec[0]
+            if first:
+                q = sbits.bit_length() - 1
+                pres = [row[q] for row in inv]
+                lookups += k
+            else:
+                pres = known.get(sbits)
+                if pres is None:
+                    pres = [preimage(sbits, x) for x in letters]
+                    lookups += k * nbytes
+                expanded[sbits] = pres
             for letter in letters:
-                pbits = pre(sbits, letter)
+                pbits = pres[letter]
                 if pbits == 0:
                     continue
                 if pbits == full:
@@ -95,11 +109,9 @@ def cutoff_ibfs(a: Automaton, params: SearchParams) -> Optional[SearchResult]:
                 # duplicate sets keep the first record; insert is a no-op then
                 insert(pbits, (pbits, letter, rec))
             if goal is not None:
-                calls = i * k + goal[1] + 1
                 break
-        else:
-            calls = len(frontier) * k
-        level_ops.append(calls * lookups + trie.ops)
+        level_ops.append(lookups + trie.ops)
+        known = expanded
         if goal is not None:
             word = []
             while goal[2] is not None:

@@ -25,6 +25,75 @@ def brute_word_image(a: Automaton, members, word) -> set[int]:
     return cur
 
 
+def brute_start_states(a: Automaton, mode: str) -> list[int]:
+    """The start states of each search mode, from reachability alone: "sink"
+    keeps the states of the one sink component (a state is in a sink
+    component when every state it reaches reaches it back), "high-indegree"
+    the states with two or more predecessors under some letter; a mode that
+    finds none, or more than one sink component, falls back to all states."""
+    n = a.n
+    states = list(range(n))
+    if mode == "sink":
+        reach = [{q} for q in states]
+        for q in states:  # n one-step rounds reach every reachable state
+            for _ in range(n):
+                reach[q] |= {a.delta(p, x) for p in reach[q] for x in range(a.k)}
+        sinks = {
+            frozenset(reach[q]) for q in states if all(q in reach[p] for p in reach[q])
+        }
+        found = sorted(next(iter(sinks))) if len(sinks) == 1 else []
+    elif mode == "high-indegree":
+        found = [
+            p
+            for p in states
+            if any(len(brute_preimage(a, {p}, x)) >= 2 for x in range(a.k))
+        ]
+    else:
+        found = states
+    return found or states
+
+
+def brute_indegree_relabel(a: Automaton) -> Automaton:
+    """The automaton with states renumbered by total in-degree, highest
+    first, ties in the old order."""
+    n, k = a.n, a.k
+    total = [sum(len(brute_preimage(a, {p}, x)) for x in range(k)) for p in range(n)]
+    old = sorted(range(n), key=lambda p: (-total[p], p))
+    new = {q: i for i, q in enumerate(old)}
+    return Automaton([[new[a.delta(q, x)] for x in range(k)] for q in old])
+
+
+def brute_capped_search(a: Automaton, maxlen, maxsize, start_mode="all", permute=False):
+    """The cutoff inverse BFS on member sets, with no cycle check: it runs
+    every level up to ``maxlen``. Each level takes the preimages of its
+    frontier's sets in frontier order, letters in order; the first one that
+    holds every state ends the search, empty ones are dropped, and a set met
+    twice keeps its first record. The next frontier is the ``maxsize`` first
+    sets (all for None), larger sets first, then the lexicographically
+    smaller member list. Returns (length, word, frontier_sizes), or None."""
+    m = brute_indegree_relabel(a) if permute else a
+    frontier = [({q}, ()) for q in brute_start_states(m, start_mode)]
+    sizes = [len(frontier)]
+    if m.n == 1:
+        return 0, (), sizes
+    everything = set(range(m.n))
+    for level in range(1, maxlen + 1):
+        found = {}
+        for members, word in frontier:
+            for letter in range(m.k):
+                pre = brute_preimage(m, members, letter)
+                if pre == everything:
+                    return level, (letter, *word), sizes
+                if pre:
+                    found.setdefault(frozenset(pre), (letter, *word))
+        ranked = sorted(found, key=lambda s: (-len(s), sorted(s)))[:maxsize]
+        if not ranked:
+            return None
+        frontier = [(s, found[s]) for s in ranked]
+        sizes.append(len(frontier))
+    return None
+
+
 def brute_pair_merge_distance(a: Automaton, p: int, q: int, limit: int) -> int:
     """Length of a shortest word merging {p, q}, by BFS over unordered pairs
     forward (independent of the backward diagonal BFS it checks). -1 if none

@@ -288,6 +288,26 @@ class TestTextFormat:
             parse_automaton("2\n0 0\n0 0\n")
         assert exc.value.line == 1
 
+    # int() reads each of these as 2, or as 0 and 1, so they used to parse
+    @pytest.mark.parametrize("two", ["+2", "0_2", "\uff12", "\u0662"])
+    def test_header_takes_ascii_digits_only(self, two):
+        for header in (f"{two} 2", f"2 {two}"):
+            with pytest.raises(AutomatonFormatError) as exc:
+                parse_automaton(f"{header}\n1 0\n0 1\n")
+            assert exc.value.line == 1
+
+    @pytest.mark.parametrize("entry", ["-0", "+1", "0_1", "\uff11", "\u0661"])
+    def test_rows_take_ascii_digits_only(self, entry):
+        with pytest.raises(AutomatonFormatError) as exc:
+            parse_automaton(f"2 2\n1 0\n0 {entry}\n")
+        assert exc.value.line == 3
+        assert repr(entry) in str(exc.value)
+
+    def test_number_past_the_int_digit_limit_reports_line(self):
+        with pytest.raises(AutomatonFormatError) as exc:
+            parse_automaton("2 2\n1 " + "0" * 5000 + "\n0 1\n")
+        assert exc.value.line == 2
+
     def test_missing_rows(self):
         with pytest.raises(AutomatonFormatError) as exc:
             parse_automaton("3 1\n0\n1\n")

@@ -99,6 +99,21 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("+2 2\n1 0\n0 1\n", 1), ("2 2\n1 0\n0 0_1\n", 3), ("2 2\n-0 0\n0 1\n", 2),
+     ("2 2\n\uff11 0\n0 1\n", 2)],
+    ids=["header-plus", "row-underscore", "row-minus-zero", "row-fullwidth"],
+)
+def test_file_with_non_ascii_decimal_number_exits_1(tmp_path, capsys, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--file", str(path), "--algo", "eppstein")
+    assert code == EXIT_ERROR == 1
+    assert f"line {line}" in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_file_round_trip_run(tmp_path, capsys):
     path = tmp_path / "cerny4.txt"
     path.write_text(serialize_automaton(cerny(4)))

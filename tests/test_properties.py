@@ -1,6 +1,7 @@
 """Properties of every algorithm on small random automata (n <= 8, k <= 3;
-n <= 12 for Eppstein's word), checked against the exact oracle, the eager
-Eppstein oracle and the automaton's own transition table."""
+n <= 10 for the capped search, n <= 12 for Eppstein's word), checked against
+the exact oracle, the brute-force search and Eppstein oracles and the
+automaton's own transition table."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,8 @@ from synchro import (
     UNBOUNDED,
     Automaton,
     NotSynchronizing,
+    SearchParams,
+    cutoff_ibfs,
     eppstein_greedy,
     exact_shortest,
     parse_automaton,
@@ -17,7 +20,7 @@ from synchro import (
 )
 from synchro.automaton import START_MODES
 from synchro.bench import solve
-from conftest import eager_eppstein
+from conftest import brute_capped_search, eager_eppstein
 
 TAGS = (
     "eppstein",
@@ -82,6 +85,21 @@ def test_synchronize_never_longer_than_eppstein(a, cap, mode):
     except NotSynchronizing:
         return
     assert synchronize(a, cap, start_mode=mode).length <= bound
+
+
+@examples
+@given(
+    automata(max_n=10),
+    st.sampled_from([1, 2, 3, "n", UNBOUNDED]),
+    st.sampled_from(START_MODES),
+    st.booleans(),
+    st.integers(0, 100),
+)
+def test_cutoff_search_matches_brute_capped_search(a, cap, mode, permute, maxlen):
+    maxsize = a.n if cap == "n" else cap
+    res = cutoff_ibfs(a, SearchParams(maxlen, maxsize, mode, permute))
+    got = None if res is None else (res.length, res.word, res.frontier_sizes)
+    assert got == brute_capped_search(a, maxlen, maxsize, mode, permute)
 
 
 @examples

@@ -18,7 +18,9 @@ from synchro import (
     start_set,
     synchronize,
 )
+import synchro.search
 from synchro.automaton import START_MODES
+from synchro.settrie import SetTrie
 from conftest import brute_preimage, brute_word_image
 
 TWO_PERMUTATIONS = Automaton([(1, 2), (2, 0), (0, 1)])
@@ -154,21 +156,81 @@ class TestCutoffIbfs:
 
     def test_class_hook_sees_every_table_preimage(self, monkeypatch):
         # A wrapper patched onto the class, as the benchmark's tracer does,
-        # sees each preimage from level 2 on; level 1 reads the inverse masks.
+        # sees each preimage the search takes from the tables. Level 1 reads
+        # the inverse masks and keeps nothing, so level 2 takes k preimages
+        # of every set it expands; each later level takes k of every set the
+        # level before did not expand, and reads the others' from there.
         calls = []
-        orig = Automaton.preimage_bits
+        frontiers = []  # the cut of each level, the next level's input
+        marks = []  # len(calls) at each cut
+        pre, take = Automaton.preimage_bits, SetTrie.take_largest
+
+        def counting(self, bits, a):
+            calls.append((self, bits, a))
+            return pre(self, bits, a)
+
+        def recording(self, c):
+            taken = take(self, c)
+            frontiers.append([bits for bits, _ in taken])
+            marks.append(len(calls))
+            return taken
+
+        monkeypatch.setattr(Automaton, "preimage_bits", counting)
+        monkeypatch.setattr(SetTrie, "take_largest", recording)
+        assert cutoff_ibfs(cerny(8), SearchParams(maxlen=1, maxsize=8)) is None
+        assert calls == []
+        frontiers.clear()
+        marks.clear()
+        res = synchronize(cerny(8), 8)
+        k, length = 2, res.length
+        assert length == 49
+        assert [len(f) for f in frontiers] == res.frontier_sizes[1:]
+        assert marks[0] == 0  # level 1 takes no table preimage
+        # every call is on the search's own mirrored copy
+        (r,) = {auto for auto, _, _ in calls}
+        # the goal level stops after the first set with a full preimage
+        last = frontiers[-1]
+        stop = next(
+            i for i, bits in enumerate(last)
+            if any(pre(r, bits, x) == r.full_bits for x in range(k))
+        )
+        expanded = frontiers[:-1] + [last[: stop + 1]]
+        ends = marks + [len(calls)]
+        seen_before = set()
+        for i, sets in enumerate(expanded):  # level i + 2
+            before = set(expanded[i - 1]) if i else set()
+            got = [(bits, a) for _, bits, a in calls[ends[i] : ends[i + 1]]]
+            assert got == [(b, x) for b in sets if b not in before for x in range(k)]
+            assert seen_before.isdisjoint(got)
+            seen_before = set(got)
+        assert len(calls) < k * sum(map(len, expanded)) // 4
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("cap", [3, 8, UNBOUNDED], ids=["cap-3", "cap-8", "unbounded"])
+    def test_level_ops_count_the_lookups_made(self, monkeypatch, seed, cap):
+        # from level 2 on, ceil(n/8) per table preimage, none for one read
+        # from the level before, and one per dedup probe
+        calls = []
+        tries = []
+        pre = Automaton.preimage_bits
 
         def counting(self, bits, a):
             calls.append(bits)
-            return orig(self, bits, a)
+            return pre(self, bits, a)
+
+        class Recording(SetTrie):
+            __slots__ = ()
+
+            def __init__(self, n):
+                super().__init__(n)
+                tries.append(self)
 
         monkeypatch.setattr(Automaton, "preimage_bits", counting)
-        assert cutoff_ibfs(cerny(8), SearchParams(maxlen=1, maxsize=8)) is None
-        assert calls == []
-        res = synchronize(cerny(8), 8)
-        k, sizes, length = 2, res.frontier_sizes, res.length
-        assert length == 49
-        assert k * sum(sizes[1 : length - 1]) < len(calls) <= k * sum(sizes[1:length])
+        monkeypatch.setattr(synchro.search, "SetTrie", Recording)
+        a = random_automaton(40, 2, seed)
+        res = cutoff_ibfs(a, SearchParams(maxlen=120, maxsize=cap))
+        assert res is not None and len(res.level_ops) == len(tries) == res.length
+        assert sum(res.level_ops[1:]) == len(calls) * 5 + sum(t.ops for t in tries[1:])
 
     def test_level_one_counts_one_lookup_per_preimage(self):
         # cerny(20): 40 level-1 preimages, one lookup each (not ceil(20/8)),
