@@ -113,8 +113,7 @@ class Automaton:
         # Preimage distributes over union, so combine one table entry per
         # byte of the mask. Every state has one successor, so the entries
         # for different bytes are disjoint and their sum is their union.
-        # The tables are built on the first call, not with the inverse, so
-        # they never coexist with a pair table that only needed the inverse.
+        # The tables are built on the first call, not with the inverse.
         # Idempotent like _inverse().
         tables = self._pre_tables
         if tables is None:

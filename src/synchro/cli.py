@@ -174,11 +174,32 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _drop_stdout() -> None:
+    """Point stdout at the null device, so that the flush at exit neither
+    fails again nor reports the lost output as an ignored exception."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):  # a replaced stdout, as under capture
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    return _cmd_bench(args)
+    command = _cmd_run if args.command == "run" else _cmd_bench
+    try:
+        code = command(args)
+        sys.stdout.flush()
+    except OSError as exc:
+        # The commands report bad input themselves, so what gets here is
+        # mostly a failed write: a full disk, or a reader that closed the
+        # pipe. It ends the command like any other error, with no traceback.
+        _drop_stdout()
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    return code
 
 
 if __name__ == "__main__":

@@ -27,6 +27,12 @@ class SearchResult:
     taken from the tables, none for a preimage reused from the level before,
     and one at level 1 (``level_ops[0]``), whose singleton preimages are read
     straight from the inverse table.
+
+    ``level_probes`` counts, per level, the dedup probes: the nonempty
+    preimages offered for dedup, which stop before the goal letter on the
+    last level. ``level_distinct`` counts, per level that ends without the
+    goal, the distinct sets among them, before the cut. Neither enters
+    ``fingerprint()``.
     """
 
     length: int
@@ -34,6 +40,8 @@ class SearchResult:
     algorithm: str
     frontier_sizes: list[int] = field(default_factory=list)
     level_ops: list[int] = field(default_factory=list)
+    level_probes: list[int] = field(default_factory=list)
+    level_distinct: list[int] = field(default_factory=list)
 
     def frontier_peak(self) -> int:
         return max(self.frontier_sizes, default=0)

@@ -3,7 +3,10 @@
 The search grows sets from singletons toward the full state set by taking
 preimages, keeping only the ``maxsize`` largest distinct sets per level. The
 first level whose preimages reach the full set yields a reset word of that
-length, read off the goal's (bits, letter, parent) record chain.
+length. Each level is one batch: its preimages go into one list, a dict
+built in C keeps each distinct set's first position there (parent index
+times k plus letter), and the cut sorts the masks in C; the word is read back
+from the goal's position through the kept positions of earlier levels.
 """
 
 from __future__ import annotations
@@ -57,14 +60,20 @@ def cutoff_ibfs(a: Automaton, params: SearchParams) -> Optional[SearchResult]:
     # the lexicographically smaller member list has the larger mask, which
     # is the order take_largest ranks by. The copy's tables die with the call.
     r = Automaton([[n - 1 - p for p in row] for row in reversed(m.rows)])
-    # Frontier records are (bits, letter, parent) tuples, parent None at
-    # level 0; the goal's letters, parent to parent, are the word in order.
     full = m.full_bits
     nbytes = (n + 7) // 8  # table lookups per preimage_bits call
     letters = range(k)
-    frontier = [(1 << (n - 1 - q), None, None) for q in start_set(m, params.start_mode)]
+    frontier = [1 << (n - 1 - q) for q in start_set(m, params.start_mode)]
     sizes = [len(frontier)]
     level_ops: list[int] = []
+    probes: list[int] = []
+    distinct: list[int] = []
+    # Each level lists the preimages of its frontier parent by parent,
+    # letters in order, so the preimage of set i under letter x sits at
+    # i * k + x. links[l - 1][j] is that position for set j of level l: its
+    # parent and letter, by divmod. The goal's letters, parent to parent,
+    # are the word in order.
+    links: list[list[int]] = []
     # Level 0 holds singletons, and the preimage of {q} under x is the
     # inverse mask inv[x][q]: one lookup in place of nbytes.
     inv = r._inverse()
@@ -81,14 +90,12 @@ def cutoff_ibfs(a: Automaton, params: SearchParams) -> Optional[SearchResult]:
     known: dict[int, list[int]] = {}
 
     for level in range(1, params.maxlen + 1):
-        trie = SetTrie(n)
-        insert = trie.insert
         first = level == 1
         expanded: dict[int, list[int]] = {}
+        flat: list[int] = []
         lookups = 0
         goal = None
-        for rec in frontier:
-            sbits = rec[0]
+        for sbits in frontier:
             if first:
                 q = sbits.bit_length() - 1
                 pres = [row[q] for row in inv]
@@ -99,41 +106,43 @@ def cutoff_ibfs(a: Automaton, params: SearchParams) -> Optional[SearchResult]:
                     pres = [preimage(sbits, x) for x in letters]
                     lookups += k * nbytes
                 expanded[sbits] = pres
-            for letter in letters:
-                pbits = pres[letter]
-                if pbits == 0:
-                    continue
-                if pbits == full:
-                    goal = (full, letter, rec)
-                    break
-                # duplicate sets keep the first record; insert is a no-op then
-                insert(pbits, (pbits, letter, rec))
-            if goal is not None:
+            flat += pres
+            if full in pres:
+                # the letters after the goal's are never offered for dedup
+                goal = len(flat) - k + pres.index(full)
+                del flat[goal:]
                 break
-        level_ops.append(lookups + trie.ops)
         known = expanded
+        offered = len(flat) - flat.count(0)
+        probes.append(offered)
+        level_ops.append(lookups + offered)
         if goal is not None:
-            word = []
-            while goal[2] is not None:
-                word.append(goal[1])
-                goal = goal[2]
+            parent, letter = divmod(goal, k)
+            word = [letter]
+            for link in reversed(links):
+                parent, letter = divmod(link[parent], k)
+                word.append(letter)
             return SearchResult(
                 level,
                 tuple(word),
                 "cutoff-ibfs",
                 frontier_sizes=sizes,
                 level_ops=level_ops,
+                level_probes=probes,
+                level_distinct=distinct,
             )
+        # a set met twice keeps its first position, so its first parent
+        trie = SetTrie.from_masks(flat)
+        distinct.append(len(trie))
         if not trie:
             break
-        taken = trie.take_largest(params.maxsize or len(trie))
-        frontier = [rec for _, rec in taken]
+        frontier = trie.take_largest(params.maxsize or len(trie))
+        links.append(list(map(trie.__getitem__, frontier)))
         sizes.append(len(frontier))
-        masks = [bits for bits, _ in taken]
-        if masks == checkpoint:
+        if frontier == checkpoint:
             break
         if level & (level - 1) == 0:
-            checkpoint = masks
+            checkpoint = frontier
     return None
 
 

@@ -1,57 +1,38 @@
-"""Deduplicating storage of state sets, with largest-first extraction.
+"""One inverse-search level's distinct state sets, with largest-first
+extraction.
 
-Sets are int bitmasks over [0, n) (bit q set = state q is a member), kept in
-a dict from mask to payload, so a duplicate check is one hash probe. The
-search only ever asks "have I seen exactly this set?", never a subset query,
-so no trie structure is needed.
+Sets are int bitmasks (bit q set = state q is a member). The search only ever
+asks "have I seen exactly this set?", never a subset query, so a dict from
+mask to its first position in the level's preimage list does the dedup, and
+no trie structure is needed.
 """
 
 from __future__ import annotations
 
-from typing import Any
 
+class SetTrie(dict):
+    """Distinct nonempty masks of one level, each mapped to the index of its
+    first occurrence in the list it was built from."""
 
-class SetTrie:
-    """Distinct nonempty subsets of [0, n) with largest-first extraction.
+    __slots__ = ()
 
-    ``ops`` counts insert probes (one per ``insert`` call), for
-    operation-count checks.
-    """
+    @classmethod
+    def from_masks(cls, masks: list[int]) -> "SetTrie":
+        """The distinct nonzero masks of ``masks``, built in C. Later keys
+        overwrite earlier ones, so the list is fed back to front and the
+        first occurrence's index is the one kept."""
+        last = len(masks) - 1
+        sets = cls(zip(reversed(masks), range(last, -1, -1)))
+        sets.pop(0, None)
+        return sets
 
-    __slots__ = ("n", "ops", "_sets")
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("state count must be >= 1")
-        self.n = n
-        self.ops = 0
-        self._sets: dict[int, Any] = {}
-
-    def __len__(self) -> int:
-        return len(self._sets)
-
-    def insert(self, bits: int, payload: Any = None) -> bool:
-        """Store the set ``bits`` with ``payload``; True if new, False if a
-        duplicate. A duplicate keeps the payload stored first. Empty sets and
-        masks with bits at or above ``n`` are rejected (callers must filter
-        empty preimages before inserting)."""
-        if bits <= 0 or bits >> self.n:
-            raise ValueError(f"mask {bits:#x} is not a nonempty set over [0, {self.n})")
-        self.ops += 1
-        sets = self._sets
-        if bits in sets:
-            return False
-        sets[bits] = payload
-        return True
-
-    def take_largest(self, c: int) -> list[tuple[int, Any]]:
-        """Up to ``c`` stored ``(bits, payload)`` pairs, larger sets first and
-        sets of equal size larger mask first. Returns fewer if fewer are
-        stored."""
+    def take_largest(self, c: int) -> list[int]:
+        """Up to ``c`` stored masks, larger sets first and sets of equal size
+        larger mask first. Returns fewer if fewer are stored."""
         if c < 1:
             raise ValueError("need c >= 1")
-        sets = self._sets
         # Two sorts in C: by mask, then stably by size, both largest first.
-        ranked = sorted(sets, reverse=True)
+        ranked = sorted(self, reverse=True)
         ranked.sort(key=int.bit_count, reverse=True)
-        return [(bits, sets[bits]) for bits in ranked[:c]]
+        del ranked[c:]
+        return ranked

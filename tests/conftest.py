@@ -70,22 +70,29 @@ def brute_capped_search(a: Automaton, maxlen, maxsize, start_mode="all", permute
     holds every state ends the search, empty ones are dropped, and a set met
     twice keeps its first record. The next frontier is the ``maxsize`` first
     sets (all for None), larger sets first, then the lexicographically
-    smaller member list. Returns (length, word, frontier_sizes), or None."""
+    smaller member list. Returns (length, word, frontier_sizes, probes,
+    distinct), or None: ``probes`` counts, per level, the nonempty preimages
+    met before the goal, and ``distinct``, per level without the goal, the
+    distinct sets among them."""
     m = brute_indegree_relabel(a) if permute else a
     frontier = [({q}, ()) for q in brute_start_states(m, start_mode)]
     sizes = [len(frontier)]
     if m.n == 1:
-        return 0, (), sizes
+        return 0, (), sizes, [], []
     everything = set(range(m.n))
+    probes, distinct = [], []
     for level in range(1, maxlen + 1):
         found = {}
+        probes.append(0)
         for members, word in frontier:
             for letter in range(m.k):
                 pre = brute_preimage(m, members, letter)
                 if pre == everything:
-                    return level, (letter, *word), sizes
+                    return level, (letter, *word), sizes, probes, distinct
                 if pre:
+                    probes[-1] += 1
                     found.setdefault(frozenset(pre), (letter, *word))
+        distinct.append(len(found))
         ranked = sorted(found, key=lambda s: (-len(s), sorted(s)))[:maxsize]
         if not ranked:
             return None

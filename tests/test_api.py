@@ -43,22 +43,27 @@ def test_benchmark_hook_targets_exist(monkeypatch):
 
 def test_traced_solve_tallies_search_calls(monkeypatch):
     # level 1 reads the inverse masks directly, but later levels still go
-    # through the hooked preimage kernel and the hooked SetTrie
+    # through the hooked preimage kernel; each level that ends without the
+    # goal makes one hooked cut, and the dedup is built in C, unhooked
     root = Path(__file__).resolve().parents[1]
     monkeypatch.syspath_prepend(str(root / "perfbench"))
     import tracer
 
+    a = synchro.random_automaton(12, 2, 0)
+    res = synchro.synchronize(a, 12)
+    assert res.algorithm == "cutoff-ibfs"
     t = tracer.Tracer()
     try:
         t.install(synchro)
         with t.span("solve"):
-            synchro.synchronize(synchro.random_automaton(12, 2, 0), 12)
+            traced = synchro.synchronize(a, 12)
     finally:
         t.uninstall()
+    assert traced == res
     calls = {}
     for sp in t.spans:
         for name, tally in sp.calls.items():
             calls[name] = calls.get(name, 0) + tally[tracer.CALLS]
     assert calls.get("preimage", 0) > 0
-    assert calls.get("settrie.insert", 0) > 0
-    assert calls.get("settrie.take", 0) > 0
+    assert "settrie.insert" not in calls
+    assert calls.get("settrie.take", 0) == len(res.level_distinct) == res.length - 1 == 9

@@ -1,7 +1,10 @@
 import csv
 import io
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -306,3 +309,44 @@ def test_readme_run_examples_run(capsys):
         assert code == EXIT_OK, (argv, err)
         if length is not None:
             assert f"length: {length}\n" in out, argv
+
+
+def run_cli_process(argv, stdout):
+    # a fresh interpreter, so its exit-time flush of stdout runs too
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "synchro.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+    )
+
+
+def assert_error_without_traceback(proc):
+    assert proc.returncode == EXIT_ERROR
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--cerny", "30", "--word"], ["bench", "--n", "5", "--trials", "2"]],
+    ids=["run", "bench"],
+)
+def test_closed_stdout_pipe_is_an_error_not_a_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_cli_process(argv, write_end)
+    finally:
+        os.close(write_end)
+    assert_error_without_traceback(proc)
+    assert "Broken pipe" in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_bench_out_to_full_device_is_an_error_not_a_traceback():
+    proc = run_cli_process(
+        ["bench", "--n", "5", "--trials", "2", "--out", "/dev/full"], subprocess.PIPE
+    )
+    assert_error_without_traceback(proc)
+    assert "No space left" in proc.stderr

@@ -98,8 +98,17 @@ def test_synchronize_never_longer_than_eppstein(a, cap, mode):
 def test_cutoff_search_matches_brute_capped_search(a, cap, mode, permute, maxlen):
     maxsize = a.n if cap == "n" else cap
     res = cutoff_ibfs(a, SearchParams(maxlen, maxsize, mode, permute))
-    got = None if res is None else (res.length, res.word, res.frontier_sizes)
+    got = None if res is None else (
+        res.length, res.word, res.frontier_sizes, res.level_probes, res.level_distinct
+    )
     assert got == brute_capped_search(a, maxlen, maxsize, mode, permute)
+    if res is not None:
+        # the cut keeps at most the distinct sets, which are at most the
+        # probes; every level but the goal's ends with a cut
+        assert len(res.level_probes) == res.length
+        assert len(res.level_distinct) == max(res.length - 1, 0)
+        for level, count in enumerate(res.level_distinct):
+            assert res.level_probes[level] >= count >= res.frontier_sizes[level + 1]
 
 
 @examples

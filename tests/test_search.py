@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -18,10 +19,9 @@ from synchro import (
     start_set,
     synchronize,
 )
-import synchro.search
 from synchro.automaton import START_MODES
 from synchro.settrie import SetTrie
-from conftest import brute_preimage, brute_word_image
+from conftest import brute_capped_search, brute_preimage, brute_word_image
 
 TWO_PERMUTATIONS = Automaton([(1, 2), (2, 0), (0, 1)])
 
@@ -171,7 +171,7 @@ class TestCutoffIbfs:
 
         def recording(self, c):
             taken = take(self, c)
-            frontiers.append([bits for bits, _ in taken])
+            frontiers.append(list(taken))
             marks.append(len(calls))
             return taken
 
@@ -209,28 +209,49 @@ class TestCutoffIbfs:
     @pytest.mark.parametrize("cap", [3, 8, UNBOUNDED], ids=["cap-3", "cap-8", "unbounded"])
     def test_level_ops_count_the_lookups_made(self, monkeypatch, seed, cap):
         # from level 2 on, ceil(n/8) per table preimage, none for one read
-        # from the level before, and one per dedup probe
+        # from the level before, and one per dedup probe, which the oracle
+        # counts on member sets; level 1 makes one lookup per preimage
         calls = []
-        tries = []
         pre = Automaton.preimage_bits
 
         def counting(self, bits, a):
             calls.append(bits)
             return pre(self, bits, a)
 
-        class Recording(SetTrie):
-            __slots__ = ()
-
-            def __init__(self, n):
-                super().__init__(n)
-                tries.append(self)
-
         monkeypatch.setattr(Automaton, "preimage_bits", counting)
-        monkeypatch.setattr(synchro.search, "SetTrie", Recording)
         a = random_automaton(40, 2, seed)
         res = cutoff_ibfs(a, SearchParams(maxlen=120, maxsize=cap))
-        assert res is not None and len(res.level_ops) == len(tries) == res.length
-        assert sum(res.level_ops[1:]) == len(calls) * 5 + sum(t.ops for t in tries[1:])
+        assert res is not None
+        length, word, _, probes, distinct = brute_capped_search(a, 120, cap)
+        assert (res.length, res.word) == (length, word)
+        assert res.level_probes == probes and res.level_distinct == distinct
+        assert len(res.level_ops) == len(probes) == res.length
+        assert res.level_ops[0] == 2 * 40 + probes[0]
+        assert sum(res.level_ops[1:]) == len(calls) * 5 + sum(probes[1:])
+
+    def test_unbounded_search_memory_stays_small(self):
+        # one kept position per set and level, and no record per preimage
+        a = random_automaton(40, 2, 0)
+        tracemalloc.start()
+        try:
+            res = cutoff_ibfs(a, SearchParams(maxlen=200))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res is not None
+        assert peak < 2.0e6
+
+    @pytest.mark.parametrize("const", [0, 1])
+    def test_goal_level_probes_stop_at_the_goal_letter(self, const):
+        # letter `const` sends every state to 0, the other letter cycles the
+        # states, so the first set, {0}, has the full preimage under `const`;
+        # the cycle's preimage {2} is a probe only when offered before it
+        cycle = [1, 2, 0]
+        a = Automaton([[0, q] if const == 0 else [q, 0] for q in cycle])
+        res = cutoff_ibfs(a, SearchParams(maxlen=5))
+        assert res.word == (const,)
+        assert res.level_probes == [const] and res.level_distinct == []
+        assert res.level_ops == [2 + const]
 
     def test_level_one_counts_one_lookup_per_preimage(self):
         # cerny(20): 40 level-1 preimages, one lookup each (not ceil(20/8)),
