@@ -17,7 +17,6 @@ from .baselines import PairTable, build_pair_table, eppstein_greedy, exact_short
 from .results import InstanceTooLarge, NotSynchronizing, SearchResult
 from .search import (
     UNBOUNDED,
-    SearchParams,
     cutoff_ibfs,
     log_cap,
     synchronize,
@@ -42,7 +41,6 @@ __all__ = [
     "NotSynchronizing",
     "SearchResult",
     "UNBOUNDED",
-    "SearchParams",
     "cutoff_ibfs",
     "log_cap",
     "synchronize",

@@ -11,7 +11,8 @@ are each built once on first use and only read afterwards.
 from __future__ import annotations
 
 import random
-from operator import getitem, index
+from functools import reduce
+from operator import getitem, index, or_
 from typing import Sequence
 
 Word = tuple[int, ...]
@@ -97,9 +98,6 @@ class Automaton:
             self._inv_bits = inv
         return inv
 
-    def in_degree(self, a: int, p: int) -> int:
-        return self._inverse()[a][p].bit_count()
-
     def image_bits(self, bits: int, a: int) -> int:
         col = self._cols[a]
         out = 0
@@ -184,58 +182,38 @@ def random_automaton(n: int, k: int, seed: int) -> Automaton:
     return Automaton(rows)
 
 
+def _closure(nbrs: Sequence[int], root: int, seen: int = 0) -> int:
+    """``seen`` plus the states reached from ``root`` along ``nbrs`` (the
+    mask of each state's neighbours) without entering ``seen``."""
+    todo = 1 << root
+    seen |= todo
+    while todo:
+        new = 0
+        for q in _bit_members(todo):
+            new |= nbrs[q]
+        todo = new & ~seen
+        seen |= todo
+    return seen
+
+
 def _sink_component(a: Automaton) -> list[int]:
-    """States of the unique sink SCC of the transition digraph (all letters),
-    or [] if the sink SCC is not unique."""
-    n, k = a.n, a.k
-    rows = a.rows
-
-    visited = [False] * n
-    order: list[int] = []
-    for s in range(n):
-        if visited[s]:
-            continue
-        visited[s] = True
-        stack = [(s, 0)]
-        while stack:
-            q, i = stack[-1]
-            if i < k:
-                stack[-1] = (q, i + 1)
-                p = rows[q][i]
-                if not visited[p]:
-                    visited[p] = True
-                    stack.append((p, 0))
-            else:
-                order.append(q)
-                stack.pop()
-
-    inv = a._inverse()
-    comp = [-1] * n
-    ncomp = 0
-    for s in reversed(order):
-        if comp[s] >= 0:
-            continue
-        comp[s] = ncomp
-        stack2 = [s]
-        while stack2:
-            q = stack2.pop()
-            for letter in range(k):
-                for p in _bit_members(inv[letter][q]):
-                    if comp[p] < 0:
-                        comp[p] = ncomp
-                        stack2.append(p)
-        ncomp += 1
-
-    has_out = [False] * ncomp
-    for q in range(n):
-        for letter in range(k):
-            p = rows[q][letter]
-            if comp[p] != comp[q]:
-                has_out[comp[q]] = True
-    sinks = [c for c in range(ncomp) if not has_out[c]]
-    if len(sinks) != 1:
+    """The states every state reaches (all letters), or [] if there are
+    none. They form the one sink SCC when it is unique."""
+    full = a.full_bits
+    pred = [reduce(or_, masks) for masks in zip(*a._inverse())]
+    # Sweep backward closures over the states not yet seen; the seen set
+    # stays closed under predecessors. If some state is reached from all,
+    # the root of the sweep that first sees it reaches every state through
+    # it, so that sweep sees the rest: the last root is reached from all.
+    seen = 0
+    while seen != full:
+        free = full & ~seen
+        root = (free & -free).bit_length() - 1
+        seen = _closure(pred, root, seen)
+    if _closure(pred, root) != full:
         return []
-    return [q for q in range(n) if comp[q] == sinks[0]]
+    succ = [reduce(or_, [1 << p for p in row]) for row in a.rows]
+    return _bit_members(_closure(succ, root))
 
 
 START_MODES = ("all", "sink", "high-indegree")
@@ -244,19 +222,19 @@ START_MODES = ("all", "sink", "high-indegree")
 def start_set(a: Automaton, mode: str = "all") -> list[int]:
     """States, in increasing order, whose singletons seed the inverse search.
 
-    ``sink`` keeps only states of the unique sink SCC; ``high-indegree`` keeps
-    states with in-degree >= 2 on some letter. A restricted mode that comes up
-    empty falls back to all singletons.
+    ``sink`` keeps the states every state reaches, which form the sink SCC
+    when it is unique; ``high-indegree`` keeps states with in-degree >= 2 on
+    some letter. A restricted mode that comes up empty falls back to all
+    singletons.
     """
     if mode not in START_MODES:
         raise ValueError(f"unknown start mode {mode!r}")
     if mode == "sink":
         states = _sink_component(a)
     elif mode == "high-indegree":
+        inv = a._inverse()
         states = [
-            p
-            for p in range(a.n)
-            if any(a.in_degree(letter, p) >= 2 for letter in range(a.k))
+            p for p in range(a.n) if any(masks[p].bit_count() >= 2 for masks in inv)
         ]
     else:
         states = list(range(a.n))
@@ -265,24 +243,34 @@ def start_set(a: Automaton, mode: str = "all") -> list[int]:
     return states
 
 
+def _relabel(a: Automaton, new: Sequence[int]) -> Automaton:
+    """``a`` with each state q renamed ``new[q]``; letters keep their names."""
+    rows: list[list[int]] = [[]] * a.n
+    for q, row in enumerate(a.rows):
+        rows[new[q]] = [new[p] for p in row]
+    return Automaton(rows)
+
+
+def _indegree_order(a: Automaton) -> list[int]:
+    """pi with pi[old] = new, numbering states by total in-degree (summed
+    over letters), highest first, ties in the old order."""
+    total = [0] * a.n
+    for row in a.rows:
+        for p in row:
+            total[p] += 1
+    pi = [0] * a.n
+    for new, old in enumerate(sorted(range(a.n), key=lambda q: -total[q])):
+        pi[old] = new
+    return pi
+
+
 def indegree_permutation(a: Automaton) -> tuple[Automaton, tuple[int, ...]]:
     """Relabel states so total in-degree (summed over letters) is non-increasing
     in state index; ties keep original order. Returns the relabeled automaton
     and the map pi with pi[old] = new. Letters are untouched, so any reset word
     of the relabeled automaton is a reset word of the original."""
-    n, k = a.n, a.k
-    total = [
-        sum(a.in_degree(letter, q) for letter in range(k)) for q in range(n)
-    ]
-    by_indegree = sorted(range(n), key=lambda q: (-total[q], q))
-    pi = [0] * n
-    for new, old in enumerate(by_indegree):
-        pi[old] = new
-    rows = [[0] * k for _ in range(n)]
-    for q in range(n):
-        for letter in range(k):
-            rows[pi[q]][letter] = pi[a.rows[q][letter]]
-    return Automaton(rows), tuple(pi)
+    pi = _indegree_order(a)
+    return _relabel(a, pi), tuple(pi)
 
 
 class AutomatonFormatError(ValueError):

@@ -19,10 +19,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Optional, TextIO
 
-from .automaton import Automaton, random_automaton
+from .automaton import START_MODES, Automaton, random_automaton
 from .baselines import EXACT_MAX_STATES, eppstein_greedy, exact_shortest
 from .results import NotSynchronizing, SearchResult
-from .search import UNBOUNDED, SearchParams, cutoff_ibfs, log_cap, synchronize
+from .search import UNBOUNDED, cutoff_ibfs, log_cap, synchronize
 
 KNOWN_ALGORITHMS = ("eppstein", "exact", "cutoff-ibfs")
 
@@ -79,14 +79,11 @@ def solve(
         res = exact_shortest(a)
     else:
         maxsize = resolve_maxsize(spec, a.n)  # type: ignore[arg-type]
+        opts = dict(start_mode=start_mode, permute_by_indegree=permute_by_indegree)
         if maxlen is None:
-            res = synchronize(
-                a, maxsize, start_mode=start_mode, permute_by_indegree=permute_by_indegree
-            )
+            res = synchronize(a, maxsize, **opts)
         else:
-            res = cutoff_ibfs(
-                a, SearchParams(maxlen, maxsize, start_mode, permute_by_indegree)
-            )
+            res = cutoff_ibfs(a, maxlen, maxsize, **opts)
     if res is not None and maxlen is not None and res.length > maxlen:
         return None
     return res
@@ -120,6 +117,8 @@ class ExperimentConfig:
             raise ValueError(f"repeated algorithm in {list(self.algorithms)}")
         for tag in self.algorithms:
             parse_algorithm(tag)
+        if self.start_mode not in START_MODES:
+            raise ValueError(f"unknown start mode {self.start_mode!r}")
         if "exact" in self.algorithms and max(self.ns) > EXACT_MAX_STATES:
             raise ValueError(
                 f"exact handles n <= {EXACT_MAX_STATES}, got n={max(self.ns)}"

@@ -3,19 +3,23 @@
 The search grows sets from singletons toward the full state set by taking
 preimages, keeping only the ``maxsize`` largest distinct sets per level. The
 first level whose preimages reach the full set yields a reset word of that
-length. Each level is one batch: its preimages go into one list, a dict
-built in C keeps each distinct set's first position there (parent index
-times k plus letter), and the cut sorts the masks in C; the word is read back
-from the goal's position through the kept positions of earlier levels.
+length. Its options (``maxsize``, ``start_mode``, ``permute_by_indegree``)
+are the same keywords in `cutoff_ibfs` and `synchronize`, and both check them
+before any work. The search runs on one relabelled copy of the automaton,
+numbered by in-degree under permutation and mirrored. Each level is one
+batch: its preimages go into one list, a dict built in C keeps each distinct
+set's first position there (parent index times k plus letter), and the cut
+sorts the masks in C; the word is read back from the goal's position through
+the kept positions of earlier levels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
-from .automaton import START_MODES, Automaton, indegree_permutation, start_set
+from .automaton import START_MODES, Automaton, _indegree_order, _relabel, start_set
+from .baselines import eppstein_greedy
 from .results import NotSynchronizing, SearchResult
 from .settrie import SetTrie
 
@@ -28,42 +32,44 @@ def log_cap(n: int) -> int:
     return max(1, math.ceil(math.log2(n))) if n > 1 else 1
 
 
-@dataclass(frozen=True)
-class SearchParams:
-    maxlen: int
-    maxsize: Optional[int] = UNBOUNDED
-    start_mode: str = "all"
-    permute_by_indegree: bool = False
-
-    def __post_init__(self):
-        if self.maxlen < 0:
-            raise ValueError("maxlen must be >= 0")
-        if self.maxsize is not UNBOUNDED and self.maxsize < 1:
-            raise ValueError("maxsize must be >= 1 or UNBOUNDED")
-        if self.start_mode not in START_MODES:
-            raise ValueError(f"unknown start mode {self.start_mode!r}")
+def _check_options(maxsize: Optional[int], start_mode: str, maxlen: int = 0) -> None:
+    if maxlen < 0:
+        raise ValueError("maxlen must be >= 0")
+    if maxsize is not UNBOUNDED and maxsize < 1:
+        raise ValueError("maxsize must be >= 1 or UNBOUNDED")
+    if start_mode not in START_MODES:
+        raise ValueError(f"unknown start mode {start_mode!r}")
 
 
-def cutoff_ibfs(a: Automaton, params: SearchParams) -> Optional[SearchResult]:
+def cutoff_ibfs(
+    a: Automaton,
+    maxlen: int,
+    maxsize: Optional[int] = UNBOUNDED,
+    *,
+    start_mode: str = "all",
+    permute_by_indegree: bool = False,
+) -> Optional[SearchResult]:
     """Run the cutoff inverse BFS; None if no reset word of length <= maxlen
     was found within the frontier budget."""
-    if params.permute_by_indegree:
-        m, _ = indegree_permutation(a)
-    else:
-        m = a
-    n, k = m.n, m.k
+    _check_options(maxsize, start_mode, maxlen)
+    n, k = a.n, a.k
     if n == 1:
         return SearchResult(0, (), "cutoff-ibfs", frontier_sizes=[1])
 
-    # The search runs on a mirrored copy, in which state q is n-1-q. There a
-    # set's mask is its own mask bit-reversed, so among sets of equal size
-    # the lexicographically smaller member list has the larger mask, which
-    # is the order take_largest ranks by. The copy's tables die with the call.
-    r = Automaton([[n - 1 - p for p in row] for row in reversed(m.rows)])
-    full = m.full_bits
+    # The search runs on one copy, in which state q is n-1-pi[q], with pi
+    # the in-degree numbering under permutation and the identity otherwise.
+    # Mirrored so, a set's mask is its pi-numbered mask bit-reversed, and
+    # among sets of equal size the lexicographically smaller member list
+    # has the larger mask, which is the order take_largest ranks by. Both
+    # start sets are the same states under any numbering, so they are taken
+    # on the caller's automaton. The copy's tables die with the call.
+    pi = _indegree_order(a) if permute_by_indegree else range(n)
+    mirror = [n - 1 - p for p in pi]
+    r = _relabel(a, mirror)
+    full = r.full_bits
     nbytes = (n + 7) // 8  # table lookups per preimage_bits call
     letters = range(k)
-    frontier = [1 << (n - 1 - q) for q in start_set(m, params.start_mode)]
+    frontier = sorted((1 << mirror[q] for q in start_set(a, start_mode)), reverse=True)
     sizes = [len(frontier)]
     level_ops: list[int] = []
     probes: list[int] = []
@@ -89,7 +95,7 @@ def cutoff_ibfs(a: Automaton, params: SearchParams) -> Optional[SearchResult]:
     # lookup each, and carrying them would hold one list per start state.
     known: dict[int, list[int]] = {}
 
-    for level in range(1, params.maxlen + 1):
+    for level in range(1, maxlen + 1):
         first = level == 1
         expanded: dict[int, list[int]] = {}
         flat: list[int] = []
@@ -136,7 +142,7 @@ def cutoff_ibfs(a: Automaton, params: SearchParams) -> Optional[SearchResult]:
         distinct.append(len(trie))
         if not trie:
             break
-        frontier = trie.take_largest(params.maxsize or len(trie))
+        frontier = trie.take_largest(maxsize or len(trie))
         links.append(list(map(trie.__getitem__, frontier)))
         sizes.append(len(frontier))
         if frontier == checkpoint:
@@ -157,25 +163,23 @@ def synchronize(
     anything strictly shorter; returns whichever word is shorter. Raises
     NotSynchronizing when no reset word exists. The result's length never
     exceeds the Eppstein length."""
-    from .baselines import eppstein_greedy
-
+    _check_options(maxsize, start_mode)
     bound = eppstein_greedy(a)
     if bound.length == 0:
         return bound
-    params = SearchParams(
-        maxlen=bound.length - 1,
-        maxsize=maxsize,
+    result = cutoff_ibfs(
+        a,
+        bound.length - 1,
+        maxsize,
         start_mode=start_mode,
         permute_by_indegree=permute_by_indegree,
     )
-    result = cutoff_ibfs(a, params)
     return bound if result is None else result
 
 
 __all__ = [
     "UNBOUNDED",
     "log_cap",
-    "SearchParams",
     "cutoff_ibfs",
     "synchronize",
     "NotSynchronizing",

@@ -10,7 +10,6 @@ from itertools import count, product
 import pytest
 
 from synchro import (
-    SearchParams,
     UNBOUNDED,
     cerny,
     cutoff_ibfs,
@@ -71,7 +70,7 @@ def test_criterion_1_cerny_exactness():
 def test_criterion_2_oracle_equivalence(small_pool):
     t0 = time.perf_counter()
     for a, exact_len in small_pool:
-        res = cutoff_ibfs(a, SearchParams(maxlen=2**a.n, maxsize=UNBOUNDED))
+        res = cutoff_ibfs(a, 2**a.n, UNBOUNDED)
         assert res is not None
         assert res.length == exact_len
         assert a.is_synchronizing_word(res.word)
@@ -175,7 +174,7 @@ def test_criterion_7_complexity_smoke():
     bound = eppstein_greedy(b).length
     rate = {}
     for c in (8, 16, 32, 64):
-        r = cutoff_ibfs(b, SearchParams(maxlen=bound - 1, maxsize=c))
+        r = cutoff_ibfs(b, bound - 1, c)
         assert r is not None
         # level 1 expands every start singleton whatever c is, so measure
         # from level 2 on

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -225,6 +227,31 @@ class TestStartSet:
         with pytest.raises(ValueError):
             start_set(cerny(3), "bogus")
 
+    # n = 1000: each sink set takes a few ms here, so 0.1 s leaves headroom
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            # a chain: every state reaches n-1, which only reaches itself
+            ([[min(q + 1, 999), q] for q in range(1000)], [999]),
+            # the reversed chain ends in 0
+            ([[max(q - 1, 0), q] for q in range(1000)], [0]),
+            # two sinks, 0 and 999, so no state is reached from all
+            (
+                [[max(q - 1, 0), q] for q in range(500)]
+                + [[min(q + 1, 999), q] for q in range(500, 1000)],
+                list(range(1000)),
+            ),
+            # strongly connected
+            (cerny(1000).rows, list(range(1000))),
+        ],
+        ids=["chain", "reversed-chain", "two-sinks", "cerny"],
+    )
+    def test_sink_mode_at_scale(self, rows, expected):
+        a = Automaton(rows)
+        t0 = time.perf_counter()
+        assert start_set(a, "sink") == expected
+        assert time.perf_counter() - t0 < 0.1
+
 
 class TestIndegreePermutation:
     def test_identity_when_sorted(self):
@@ -244,9 +271,10 @@ class TestIndegreePermutation:
         for q in range(a.n):
             for letter in range(a.k):
                 assert b.delta(pi[q], letter) == pi[a.delta(q, letter)]
-        indeg = [
-            sum(b.in_degree(letter, q) for letter in range(b.k)) for q in range(b.n)
-        ]
+        indeg = [0] * b.n
+        for row in b.rows:
+            for p in row:
+                indeg[p] += 1
         assert indeg == sorted(indeg, reverse=True)
 
     def test_word_transfers_to_original(self):

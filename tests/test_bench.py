@@ -3,7 +3,7 @@ import io
 import pytest
 
 from synchro import bench
-from synchro.automaton import Automaton, cerny, random_automaton
+from synchro.automaton import START_MODES, Automaton, cerny, random_automaton
 from synchro.baselines import eppstein_greedy, exact_shortest
 from synchro.bench import (
     CSV_COLUMNS,
@@ -251,6 +251,14 @@ class TestExperiment:
             ExperimentConfig(ns=(4,), trials=0)
         with pytest.raises(ValueError):
             ExperimentConfig(ns=(4,), algorithms=("bogus",))
+
+    @pytest.mark.parametrize("algorithms", [("eppstein",), ("cutoff-ibfs:n",)])
+    def test_config_rejects_unknown_start_mode(self, algorithms):
+        # checked up front, also where no algorithm would read the mode
+        with pytest.raises(ValueError, match="start mode"):
+            ExperimentConfig(ns=(6,), algorithms=algorithms, start_mode="bogus")
+        for mode in START_MODES:
+            ExperimentConfig(ns=(6,), algorithms=algorithms, start_mode=mode)
 
     def test_config_rejects_repeats(self):
         # a repeat would run the same seeds twice and count them twice

@@ -20,7 +20,6 @@ from synchro import (
     UNBOUNDED,
     Automaton,
     NotSynchronizing,
-    SearchParams,
     cerny,
     cutoff_ibfs,
     eppstein_greedy,
@@ -82,8 +81,8 @@ def solve_fingerprints():
             (3, 2 * a.n), START_MODES, (1, log_cap(a.n), UNBOUNDED), (False, True)
         )
         for maxlen, mode, cap, permute in settings:
-            params = SearchParams(maxlen, cap, mode, permute)
-            out.append(_outcome(lambda: cutoff_ibfs(a, params)))
+            opts = dict(start_mode=mode, permute_by_indegree=permute)
+            out.append(_outcome(lambda: cutoff_ibfs(a, maxlen, cap, **opts)))
     return out
 
 

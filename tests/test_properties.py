@@ -1,7 +1,7 @@
 """Properties of every algorithm on small random automata (n <= 8, k <= 3;
-n <= 10 for the capped search, n <= 12 for Eppstein's word), checked against
-the exact oracle, the brute-force search and Eppstein oracles and the
-automaton's own transition table."""
+n <= 10 for the capped search, the start sets and the in-degree relabelling,
+n <= 12 for Eppstein's word), checked against the exact oracle, the
+brute-force oracles and the automaton's own transition table."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,17 +10,23 @@ from synchro import (
     UNBOUNDED,
     Automaton,
     NotSynchronizing,
-    SearchParams,
     cutoff_ibfs,
     eppstein_greedy,
     exact_shortest,
+    indegree_permutation,
     parse_automaton,
     serialize_automaton,
+    start_set,
     synchronize,
 )
 from synchro.automaton import START_MODES
 from synchro.bench import solve
-from conftest import brute_capped_search, eager_eppstein
+from conftest import (
+    brute_capped_search,
+    brute_indegree_relabel,
+    brute_start_states,
+    eager_eppstein,
+)
 
 TAGS = (
     "eppstein",
@@ -97,7 +103,9 @@ def test_synchronize_never_longer_than_eppstein(a, cap, mode):
 )
 def test_cutoff_search_matches_brute_capped_search(a, cap, mode, permute, maxlen):
     maxsize = a.n if cap == "n" else cap
-    res = cutoff_ibfs(a, SearchParams(maxlen, maxsize, mode, permute))
+    res = cutoff_ibfs(
+        a, maxlen, maxsize, start_mode=mode, permute_by_indegree=permute
+    )
     got = None if res is None else (
         res.length, res.word, res.frontier_sizes, res.level_probes, res.level_distinct
     )
@@ -109,6 +117,18 @@ def test_cutoff_search_matches_brute_capped_search(a, cap, mode, permute, maxlen
         assert len(res.level_distinct) == max(res.length - 1, 0)
         for level, count in enumerate(res.level_distinct):
             assert res.level_probes[level] >= count >= res.frontier_sizes[level + 1]
+
+
+@examples
+@given(automata(max_n=10), st.sampled_from(START_MODES))
+def test_start_set_matches_brute_start_states(a, mode):
+    assert start_set(a, mode) == brute_start_states(a, mode)
+
+
+@examples
+@given(automata(max_n=10))
+def test_indegree_permutation_matches_brute_relabel(a):
+    assert indegree_permutation(a)[0] == brute_indegree_relabel(a)
 
 
 @examples

@@ -4,10 +4,10 @@ from itertools import product
 
 import pytest
 
+import synchro.search
 from synchro import (
     Automaton,
     NotSynchronizing,
-    SearchParams,
     UNBOUNDED,
     cerny,
     cutoff_ibfs,
@@ -26,15 +26,45 @@ from conftest import brute_capped_search, brute_preimage, brute_word_image
 TWO_PERMUTATIONS = Automaton([(1, 2), (2, 0), (0, 1)])
 
 
-class TestSearchParams:
-    def test_validation(self):
+def _standalone(a, maxsize=UNBOUNDED, **opts):
+    return cutoff_ibfs(a, 5, maxsize, **opts)
+
+
+class TestOptions:
+    # both entry points take the same option keywords and check them first
+    @pytest.mark.parametrize(
+        "run", [_standalone, synchronize], ids=["cutoff_ibfs", "synchronize"]
+    )
+    def test_validation(self, run):
         with pytest.raises(ValueError):
-            SearchParams(maxlen=-1)
+            run(cerny(3), maxsize=0)
         with pytest.raises(ValueError):
-            SearchParams(maxlen=1, maxsize=0)
+            run(cerny(3), start_mode="nope")
+        run(cerny(3), maxsize=UNBOUNDED)
+
+    def test_standalone_maxlen(self):
         with pytest.raises(ValueError):
-            SearchParams(maxlen=1, start_mode="nope")
-        SearchParams(maxlen=0, maxsize=UNBOUNDED)
+            cutoff_ibfs(cerny(3), -1)
+        assert cutoff_ibfs(cerny(3), 0, UNBOUNDED) is None
+
+    @pytest.mark.parametrize("n", [1, 1000])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(maxsize=0),
+            dict(start_mode="bogus"),
+            dict(maxsize=-3, start_mode="bogus"),
+        ],
+        ids=["maxsize", "start-mode", "both"],
+    )
+    def test_synchronize_checks_before_the_greedy(self, monkeypatch, n, bad):
+        # n = 1 needs no search at all, and n = 1000 a greedy of about 0.5 s
+        def no_greedy(a):
+            raise AssertionError("the greedy ran before the options were checked")
+
+        monkeypatch.setattr(synchro.search, "eppstein_greedy", no_greedy)
+        with pytest.raises(ValueError):
+            synchronize(random_automaton(n, 2, 0), **{"maxsize": 1, **bad})
 
     def test_log_cap(self):
         assert log_cap(1) == 1
@@ -45,31 +75,29 @@ class TestSearchParams:
 
 class TestCutoffIbfs:
     def test_cerny4(self):
-        res = cutoff_ibfs(cerny(4), SearchParams(maxlen=20, maxsize=4))
+        res = cutoff_ibfs(cerny(4), 20, 4)
         assert res is not None
         assert res.length == 9 == len(res.word)
         assert cerny(4).is_synchronizing_word(res.word)
 
     @pytest.mark.parametrize("n", range(2, 16))
     def test_cerny_exact_with_cap_n(self, n):
-        res = cutoff_ibfs(
-            cerny(n), SearchParams(maxlen=(n - 1) ** 2 + 1, maxsize=n)
-        )
+        res = cutoff_ibfs(cerny(n), (n - 1) ** 2 + 1, n)
         assert res is not None and res.length == (n - 1) ** 2
 
     def test_maxlen_zero_finds_nothing(self):
-        assert cutoff_ibfs(cerny(3), SearchParams(maxlen=0, maxsize=3)) is None
+        assert cutoff_ibfs(cerny(3), 0, 3) is None
 
     def test_single_state(self):
-        res = cutoff_ibfs(Automaton([[0, 0]]), SearchParams(maxlen=0))
+        res = cutoff_ibfs(Automaton([[0, 0]]), 0)
         assert res is not None and res.length == 0 and res.word == ()
 
     def test_not_found_within_budget(self):
         # shortest is 9; a tiny cap below the budget can miss it
-        assert cutoff_ibfs(cerny(4), SearchParams(maxlen=8, maxsize=4)) is None
+        assert cutoff_ibfs(cerny(4), 8, 4) is None
 
     def test_never_finds_word_for_unsynchronizable(self):
-        res = cutoff_ibfs(TWO_PERMUTATIONS, SearchParams(maxlen=50, maxsize=UNBOUNDED))
+        res = cutoff_ibfs(TWO_PERMUTATIONS, 50, UNBOUNDED)
         assert res is None
 
     @pytest.mark.parametrize("maxsize", [UNBOUNDED, 1], ids=["unbounded", "cap-1"])
@@ -78,7 +106,7 @@ class TestCutoffIbfs:
         # stop long before maxlen instead of walking 10^9 levels
         a = Automaton([[1, 1], [0, 0], [3, 3], [2, 2]])
         t0 = time.perf_counter()
-        res = cutoff_ibfs(a, SearchParams(maxlen=10**9, maxsize=maxsize))
+        res = cutoff_ibfs(a, 10**9, maxsize)
         assert res is None
         assert time.perf_counter() - t0 < 0.5
 
@@ -89,7 +117,7 @@ class TestCutoffIbfs:
             exact_len = exact_shortest(a).length
         except NotSynchronizing:
             return
-        res = cutoff_ibfs(a, SearchParams(maxlen=2**7, maxsize=UNBOUNDED))
+        res = cutoff_ibfs(a, 2**7, UNBOUNDED)
         assert res is not None
         assert res.length == exact_len
         assert a.is_synchronizing_word(res.word)
@@ -97,15 +125,14 @@ class TestCutoffIbfs:
     def test_frontier_cap_respected(self):
         for seed in range(5):
             a = random_automaton(30, 2, seed)
-            res = cutoff_ibfs(a, SearchParams(maxlen=60, maxsize=5))
+            res = cutoff_ibfs(a, 60, 5)
             if res is None:
                 continue
             assert all(size <= 5 for size in res.frontier_sizes[1:])
 
     def test_deterministic(self):
         a = random_automaton(40, 2, seed=8)
-        p = SearchParams(maxlen=80, maxsize=6)
-        r1, r2 = cutoff_ibfs(a, p), cutoff_ibfs(a, p)
+        r1, r2 = cutoff_ibfs(a, 80, 6), cutoff_ibfs(a, 80, 6)
         assert r1 is not None and r2 is not None
         assert r1.fingerprint() == r2.fingerprint()
 
@@ -119,7 +146,9 @@ class TestCutoffIbfs:
             a = random_automaton(n, 2, seed)
             m, pi = indegree_permutation(a)
             for mode, cap, permute in product(START_MODES, caps, (False, True)):
-                res = cutoff_ibfs(a, SearchParams(2 * n, cap, mode, permute))
+                res = cutoff_ibfs(
+                    a, 2 * n, cap, start_mode=mode, permute_by_indegree=permute
+                )
                 if res is None:
                     continue
                 w = res.word
@@ -130,8 +159,8 @@ class TestCutoffIbfs:
                 # no proper suffix of the word resets
                 assert all(len(p) < n for p in chain[:-1])
                 assert len(w) == res.length == len(res.frontier_sizes)
-                # the search seeded with the start set of the automaton it
-                # ran on, the relabelled one under permutation
+                # the search seeded with the start set, which names the same
+                # states in the in-degree numbering as in the caller's
                 (q,) = chain[0]
                 seeds = start_set(m, mode) if permute else start_set(a, mode)
                 assert (pi[q] if permute else q) in seeds
@@ -142,13 +171,7 @@ class TestCutoffIbfs:
         for mode in ("all", "sink", "high-indegree"):
             for permute in (False, True):
                 res = cutoff_ibfs(
-                    a,
-                    SearchParams(
-                        maxlen=80,
-                        maxsize=8,
-                        start_mode=mode,
-                        permute_by_indegree=permute,
-                    ),
+                    a, 80, 8, start_mode=mode, permute_by_indegree=permute
                 )
                 assert res is not None
                 assert a.is_synchronizing_word(res.word)
@@ -177,7 +200,7 @@ class TestCutoffIbfs:
 
         monkeypatch.setattr(Automaton, "preimage_bits", counting)
         monkeypatch.setattr(SetTrie, "take_largest", recording)
-        assert cutoff_ibfs(cerny(8), SearchParams(maxlen=1, maxsize=8)) is None
+        assert cutoff_ibfs(cerny(8), 1, 8) is None
         assert calls == []
         frontiers.clear()
         marks.clear()
@@ -220,7 +243,7 @@ class TestCutoffIbfs:
 
         monkeypatch.setattr(Automaton, "preimage_bits", counting)
         a = random_automaton(40, 2, seed)
-        res = cutoff_ibfs(a, SearchParams(maxlen=120, maxsize=cap))
+        res = cutoff_ibfs(a, 120, cap)
         assert res is not None
         length, word, _, probes, distinct = brute_capped_search(a, 120, cap)
         assert (res.length, res.word) == (length, word)
@@ -234,7 +257,7 @@ class TestCutoffIbfs:
         a = random_automaton(40, 2, 0)
         tracemalloc.start()
         try:
-            res = cutoff_ibfs(a, SearchParams(maxlen=200))
+            res = cutoff_ibfs(a, 200)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -248,7 +271,7 @@ class TestCutoffIbfs:
         # the cycle's preimage {2} is a probe only when offered before it
         cycle = [1, 2, 0]
         a = Automaton([[0, q] if const == 0 else [q, 0] for q in cycle])
-        res = cutoff_ibfs(a, SearchParams(maxlen=5))
+        res = cutoff_ibfs(a, 5)
         assert res.word == (const,)
         assert res.level_probes == [const] and res.level_distinct == []
         assert res.level_ops == [2 + const]
@@ -289,18 +312,19 @@ class TestSynchronize:
     @pytest.mark.parametrize("start_mode", START_MODES)
     @pytest.mark.parametrize("permute", [False, True], ids=["plain", "permuted"])
     def test_caller_automaton_keeps_no_tables(self, start_mode, permute):
-        # the search builds its tables on a copy and the pair table reads the
-        # columns, so no table outlives the call on the caller's automaton;
-        # only the start modes and the relabelling read the caller's inverse
+        # the search builds its tables on its relabelled copy and the pair
+        # table reads the columns, so no table outlives the call on the
+        # caller's automaton; only the sink and high-indegree start sets read
+        # the caller's inverse, and the in-degree order counts from the rows
         opts = dict(start_mode=start_mode, permute_by_indegree=permute)
         for solve in (
             lambda a: synchronize(a, 12, **opts),
-            lambda a: cutoff_ibfs(a, SearchParams(maxlen=121, maxsize=12, **opts)),
+            lambda a: cutoff_ibfs(a, 121, 12, **opts),
         ):
             a = cerny(12)
             assert solve(a).length == 121
             assert a._pre_tables is None
-            if start_mode == "all" and not permute:
+            if start_mode == "all":
                 assert a._inv_bits is None
 
     def test_falls_back_to_eppstein_word(self):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from synchro import SetTrie, cerny, cutoff_ibfs, SearchParams
+from synchro import SetTrie, cerny, cutoff_ibfs
 
 
 def mask(members):
@@ -176,6 +176,6 @@ def test_cerny_level_inserts_stay_within_n_sets():
     # early levels of the inverse search on the Cerny automaton hold at most
     # n distinct sets, so the cap never bites there
     n = 10
-    res = cutoff_ibfs(cerny(n), SearchParams(maxlen=(n - 1) ** 2 + 1, maxsize=n))
+    res = cutoff_ibfs(cerny(n), (n - 1) ** 2 + 1, n)
     assert res is not None
     assert all(size <= n for size in res.frontier_sizes[: n + 1])
