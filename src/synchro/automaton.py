@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from functools import reduce
 from operator import getitem, index, or_
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
 
@@ -41,6 +41,47 @@ def _byte_tables(masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
             t += [x, *[v | x for v in t[1:]]] if x else t
         tables.append(tuple(t + [0] * (256 - len(t))))
     return tuple(tables)
+
+
+# Words are applied to a state list in runs of this many letters, each run
+# through one column composed over all states and kept for reuse.
+_BLOCK = 16
+# At most this many composed columns of n states are kept per cache, so a
+# long word with many distinct runs applies the rest letter by letter, which
+# costs no more than composing a column it would not reuse.
+_MAX_BLOCKS = 64
+
+
+def _apply_word(
+    cols: Sequence[Sequence[int]],
+    word: Sequence[int],
+    states: Iterable[int],
+    blocks: dict[tuple[int, ...], list[int]],
+) -> list[int]:
+    """The successors of ``states`` under ``word``, one per entry, in order
+    and with repeats; ``cols[x][p]`` is the successor of p under x. The
+    composed column of each full run is kept in ``blocks``, keyed by the
+    run, so that a caller applying many words can share it."""
+    n = len(cols[0])
+    states = list(states)
+    start = 0
+    while len(word) - start >= _BLOCK:
+        run = tuple(word[start : start + _BLOCK])
+        start += _BLOCK
+        col = blocks.get(run)
+        if col is None:
+            if len(blocks) >= _MAX_BLOCKS:
+                for x in run:
+                    states = list(map(cols[x].__getitem__, states))
+                continue
+            col = list(range(n))
+            for x in run:
+                col = list(map(cols[x].__getitem__, col))
+            blocks[run] = col
+        states = list(map(col.__getitem__, states))
+    for x in word[start:]:
+        states = list(map(cols[x].__getitem__, states))
+    return states
 
 
 class Automaton:
@@ -145,10 +186,14 @@ class Automaton:
         """True iff applying ``word`` to the full state set yields a singleton."""
         for a in word:
             self._check_letter(a)
-        bits = self.full_bits
-        for a in word:
-            bits = self.image_bits(bits, a)
-        return bits.bit_count() == 1
+        # Spans of runs, each span's states deduplicated, so that the state
+        # list shrinks with the set it stands for.
+        span = _BLOCK * _BLOCK
+        states: Iterable[int] = range(self.n)
+        blocks: dict[tuple[int, ...], list[int]] = {}
+        for i in range(0, len(word), span):
+            states = set(_apply_word(self._cols, word[i : i + span], states, blocks))
+        return len(states) == 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Automaton) and self.rows == other.rows

@@ -5,7 +5,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 
-from .automaton import Automaton
+from .automaton import Automaton, _apply_word
 from .results import InstanceTooLarge, NotSynchronizing, SearchResult
 
 # Largest state count exact_shortest accepts by default: the power automaton
@@ -91,11 +91,6 @@ def build_pair_table(a: Automaton) -> PairTable:
     return PairTable(a)
 
 
-# Merging words are applied to the member list in runs of this many letters,
-# each run through one column composed over all states.
-_BLOCK = 16
-
-
 def eppstein_greedy(a: Automaton) -> SearchResult:
     """Greedy pair merging: repeatedly merge the pair of current states with
     the shortest merging word (ties: lexicographically smallest pair) until a
@@ -158,20 +153,7 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
             word.append(x)
             p = cols[x][p]
             q = cols[x][q]
-        end = len(word)
-        while end - start >= _BLOCK:
-            run = tuple(word[start : start + _BLOCK])
-            col = blocks.get(run)
-            if col is None:
-                col = list(range(n))
-                for x in run:
-                    col = list(map(cols[x].__getitem__, col))
-                blocks[run] = col
-            members = list(map(col.__getitem__, members))
-            start += _BLOCK
-        for t in range(start, end):
-            members = list(map(cols[word[t]].__getitem__, members))
-        members = sorted(set(members))
+        members = sorted(set(_apply_word(cols, word[start:], members, blocks)))
     return SearchResult(len(word), tuple(word), "eppstein")
 
 

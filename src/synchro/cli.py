@@ -30,7 +30,7 @@ from .automaton import (
 from .bench import (
     ExperimentConfig, format_summary, parse_algorithm, run_experiment, solve, write_csv,
 )
-from .results import InstanceTooLarge, NotSynchronizing, SearchResult
+from .results import InstanceTooLarge, NotSynchronizing, SearchResult, _render_word
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -98,7 +98,7 @@ def _print_report(res: SearchResult, show_word: bool, elapsed: float) -> None:
     print(f"algorithm: {res.algorithm}")
     print(f"length: {res.length}")
     if show_word:
-        print(f"word: {' '.join(map(str, res.word))}")
+        print(f"word: {_render_word(res.word, ' ')}")
     if res.frontier_sizes:
         print(f"frontier sizes: {res.frontier_sizes}")
         print(f"frontier peak: {res.frontier_peak()}")

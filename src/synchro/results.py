@@ -3,8 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .automaton import Word
+
+
+def _render_word(word: Sequence[int], sep: str) -> str:
+    """``sep.join(map(str, word))``, with one ``str`` made per distinct
+    letter rather than one per letter of the word. Keyed by the letters
+    themselves, so any int renders as ``str`` would render it."""
+    names = {x: str(x) for x in set(word)}
+    return sep.join(map(names.__getitem__, word))
 
 
 class NotSynchronizing(Exception):
@@ -51,6 +60,6 @@ class SearchResult:
         sizes; equal fingerprints mean identical results."""
         return (
             f"algorithm={self.algorithm};length={self.length};"
-            f"word={','.join(map(str, self.word))};"
+            f"word={_render_word(self.word, ',')};"
             f"frontier_sizes={','.join(map(str, self.frontier_sizes))}"
         )

@@ -60,16 +60,16 @@ def cutoff_ibfs(
     # the in-degree numbering under permutation and the identity otherwise.
     # Mirrored so, a set's mask is its pi-numbered mask bit-reversed, and
     # among sets of equal size the lexicographically smaller member list
-    # has the larger mask, which is the order take_largest ranks by. Both
-    # start sets are the same states under any numbering, so they are taken
-    # on the caller's automaton. The copy's tables die with the call.
+    # has the larger mask, which is the order take_largest ranks by. Every
+    # start set names the same states under any numbering, so it is taken
+    # on the copy, whose inverse the search reads anyway. The copy's tables
+    # die with the call.
     pi = _indegree_order(a) if permute_by_indegree else range(n)
-    mirror = [n - 1 - p for p in pi]
-    r = _relabel(a, mirror)
+    r = _relabel(a, [n - 1 - p for p in pi])
     full = r.full_bits
     nbytes = (n + 7) // 8  # table lookups per preimage_bits call
     letters = range(k)
-    frontier = sorted((1 << mirror[q] for q in start_set(a, start_mode)), reverse=True)
+    frontier = sorted((1 << q for q in start_set(r, start_mode)), reverse=True)
     sizes = [len(frontier)]
     level_ops: list[int] = []
     probes: list[int] = []

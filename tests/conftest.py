@@ -1,12 +1,15 @@
 """Shared brute-force oracles, kept independent of the library internals:
-they only read the transition table via Automaton.delta."""
+they only read the transition table via Automaton.delta. Also one shared
+fixture, the greedy's long word on cerny(300)."""
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import product
 
-from synchro import Automaton, NotSynchronizing
+import pytest
+
+from synchro import Automaton, NotSynchronizing, cerny, eppstein_greedy
 
 
 def brute_image(a: Automaton, members, letter) -> set[int]:
@@ -23,6 +26,21 @@ def brute_word_image(a: Automaton, members, word) -> set[int]:
     for letter in word:
         cur = brute_image(a, cur, letter)
     return cur
+
+
+def brute_synchronizes(a: Automaton, word) -> bool:
+    """Whether ``word`` takes the full state set to one state, walking a bit
+    mask of the current states letter by letter."""
+    bits = (1 << a.n) - 1
+    for letter in word:
+        bits = sum({1 << a.delta(q, letter) for q in range(a.n) if bits >> q & 1})
+    return bits.bit_count() == 1
+
+
+@pytest.fixture(scope="session")
+def cerny300_greedy():
+    """Eppstein's word for cerny(300): 267 662 letters over two."""
+    return eppstein_greedy(cerny(300))
 
 
 def brute_start_states(a: Automaton, mode: str) -> list[int]:

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -16,7 +17,8 @@ from synchro import (
     serialize_automaton,
     start_set,
 )
-from conftest import brute_image, brute_preimage
+from synchro.automaton import _MAX_BLOCKS, _apply_word
+from conftest import brute_image, brute_preimage, brute_synchronizes
 
 
 class TestAutomatonConstruction:
@@ -158,6 +160,29 @@ class TestSynchronizingWord:
     def test_invalid_letter_rejected(self):
         with pytest.raises(ValueError):
             cerny(3).is_synchronizing_word((0, 2))
+
+    def test_long_word_checks_in_time(self, cerny300_greedy):
+        # the word applies in composed 16-letter runs: letter by letter on
+        # a bit mask it took about 2 s
+        a = cerny(300)
+        t0 = time.perf_counter()
+        assert a.is_synchronizing_word(cerny300_greedy.word)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_runs_past_the_column_cache_cap(self):
+        # more distinct runs than the cache keeps: the rest apply letter by
+        # letter, with the same states as applying every letter in turn
+        a = random_automaton(12, 2, 0)
+        rng = random.Random(0)
+        word = [rng.randrange(2) for _ in range(16 * 200 + 5)]
+        blocks = {}
+        got = _apply_word(a._cols, word, range(a.n), blocks)
+        assert len(blocks) == _MAX_BLOCKS
+        expect = list(range(a.n))
+        for x in word:
+            expect = [a.delta(q, x) for q in expect]
+        assert got == expect
+        assert a.is_synchronizing_word(word) == brute_synchronizes(a, word)
 
 
 class TestCerny:

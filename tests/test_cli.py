@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from synchro import cerny, cli, random_automaton, serialize_automaton
-from synchro.bench import ExperimentConfig, run_experiment, trial_seed
+from synchro.bench import ExperimentConfig, run_experiment, solve, trial_seed
 from synchro.cli import (
     EXIT_ERROR,
     EXIT_NOT_FOUND,
@@ -46,6 +46,17 @@ def test_run_word_flag(capsys):
     )
     assert code == EXIT_OK
     assert "word: 1" in out
+
+
+def test_run_word_with_two_digit_letters(capsys):
+    # k = 12, so letters 10 and 11 print with two digits, each as str does
+    res = solve(random_automaton(20, 12, 0), "cutoff-ibfs:n")
+    assert max(res.word) >= 10
+    code, out, _ = run_cli(
+        capsys, "run", "--random", "20", "12", "--seed", "0", "--word"
+    )
+    assert code == EXIT_OK
+    assert out.splitlines()[3] == f"word: {' '.join(map(str, res.word))}"
 
 
 def test_exact_matches_unbounded_cutoff(capsys):

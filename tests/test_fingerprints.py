@@ -14,7 +14,10 @@ computed on the code that built the whole pair table before merging.
 """
 
 import hashlib
+import tracemalloc
 from itertools import product
+
+from hypothesis import example, given, strategies as st
 
 from synchro import (
     UNBOUNDED,
@@ -29,6 +32,7 @@ from synchro import (
 )
 from synchro.automaton import START_MODES
 from synchro.bench import solve
+from synchro.results import _render_word
 
 EXPECTED = "7b0e56dab2a9f9a8a76b743d976fccb483f384fc0d8e2107c38beaa37b141414"
 EXPECTED_SOLVE = "a516aeb24cc913842ea6e3110bc3e423517998ade429b73e9d9f1ea01dfdd30c"
@@ -110,3 +114,26 @@ def test_solve_and_standalone_search_digest_is_unchanged():
 
 def test_eppstein_digest_is_unchanged():
     assert _digest(eppstein_fingerprints()) == EXPECTED_EPPSTEIN
+
+
+@given(st.lists(st.integers(-1000, 1000)), st.sampled_from([",", " "]))
+@example([], ",")
+@example(list(range(1001)), " ")
+@example([-1, 0, -10, 10, -1], ",")
+def test_rendered_word_is_the_letters_joined(word, sep):
+    assert _render_word(word, sep) == sep.join(map(str, word))
+    assert _render_word(tuple(word), sep) == sep.join(map(str, word))
+
+
+def test_long_word_fingerprint_heap_peak(cerny300_greedy):
+    # one str per distinct letter: with one per letter the peak was ~16 MB
+    res = cerny300_greedy
+    tracemalloc.start()
+    try:
+        fingerprint = res.fingerprint()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+    word = ",".join(map(str, res.word))
+    assert fingerprint == f"algorithm=eppstein;length=267662;word={word};frontier_sizes="

@@ -1,6 +1,6 @@
 """Properties of every algorithm on small random automata (n <= 8, k <= 3;
 n <= 10 for the capped search, the start sets and the in-degree relabelling,
-n <= 12 for Eppstein's word), checked against the exact oracle, the
+n <= 12 for Eppstein's word and the word check), checked against the exact oracle, the
 brute-force oracles and the automaton's own transition table."""
 
 import pytest
@@ -25,6 +25,7 @@ from conftest import (
     brute_capped_search,
     brute_indegree_relabel,
     brute_start_states,
+    brute_synchronizes,
     eager_eppstein,
 )
 
@@ -141,6 +142,15 @@ def test_eppstein_word_matches_eager_oracle(a):
             eppstein_greedy(a)
         return
     assert eppstein_greedy(a).word == expected
+
+
+@examples
+@given(automata(max_n=12), st.data())
+def test_word_check_matches_bit_walk(a, data):
+    # a repeated pattern gives words of many 16-letter runs, some recurring
+    letters = st.integers(0, a.k - 1)
+    word = data.draw(st.lists(letters, max_size=40)) * data.draw(st.integers(1, 30))
+    assert a.is_synchronizing_word(word) == brute_synchronizes(a, word)
 
 
 @examples

@@ -312,10 +312,10 @@ class TestSynchronize:
     @pytest.mark.parametrize("start_mode", START_MODES)
     @pytest.mark.parametrize("permute", [False, True], ids=["plain", "permuted"])
     def test_caller_automaton_keeps_no_tables(self, start_mode, permute):
-        # the search builds its tables on its relabelled copy and the pair
-        # table reads the columns, so no table outlives the call on the
-        # caller's automaton; only the sink and high-indegree start sets read
-        # the caller's inverse, and the in-degree order counts from the rows
+        # the search builds its tables, start set included, on its relabelled
+        # copy and the pair table reads the columns, so no table outlives the
+        # call on the caller's automaton; the in-degree order counts from the
+        # rows
         opts = dict(start_mode=start_mode, permute_by_indegree=permute)
         for solve in (
             lambda a: synchronize(a, 12, **opts),
@@ -324,8 +324,7 @@ class TestSynchronize:
             a = cerny(12)
             assert solve(a).length == 121
             assert a._pre_tables is None
-            if start_mode == "all":
-                assert a._inv_bits is None
+            assert a._inv_bits is None
 
     def test_falls_back_to_eppstein_word(self):
         # cap 1 on this automaton cannot beat the bound within maxlen
