@@ -193,6 +193,8 @@ class Automaton:
         blocks: dict[tuple[int, ...], list[int]] = {}
         for i in range(0, len(word), span):
             states = set(_apply_word(self._cols, word[i : i + span], states, blocks))
+            if len(states) == 1:
+                return True  # one state stays one whatever follows
         return len(states) == 1
 
     def __eq__(self, other) -> bool:

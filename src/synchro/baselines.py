@@ -91,18 +91,113 @@ def build_pair_table(a: Automaton) -> PairTable:
     return PairTable(a)
 
 
+def _merge_ahead(
+    cols: list[tuple[int, ...]], n: int, members: list[int], lowest: int, budget: int
+) -> list[int] | None:
+    """The merging word a fully grown pair table gives the closest pair of
+    ``members`` (sorted; no pair of them merges in fewer than ``lowest``
+    letters), found by a forward BFS over pairs from each member pair in turn,
+    or None once the BFS has cost more than ``budget`` (1 per pair started, k
+    per pair of each layer expanded) or some member pair never merges."""
+    k = len(cols)
+    best: list[list[int]] = []  # forward layers of the closest pair so far
+    for i, p in enumerate(members):
+        for q in members[i + 1 :]:
+            budget -= 1
+            layers = [[p * n + q]]
+            seen = {p * n + q}
+            # expanding layer t finds a distance of t + 1; a tie keeps the
+            # earlier pair, so only distances below len(best) are sought
+            while not best or len(layers) < len(best):
+                layer = layers[-1]
+                budget -= k * len(layer)
+                if budget < 0 or not layer:
+                    return None
+                nxt = _next_layer(cols, n, layer, seen)
+                if nxt is None:
+                    best = layers
+                    break
+                layers.append(nxt)
+            if len(best) == lowest:
+                return _table_word(cols, n, best)
+    return _table_word(cols, n, best) if best else None
+
+
+def _next_layer(
+    cols: list[tuple[int, ...]], n: int, layer: list[int], seen: set[int]
+) -> list[int] | None:
+    """The pairs one letter from ``layer`` that are not in ``seen``, in the
+    order first reached and added to ``seen``, or None if some letter
+    merges a pair of ``layer``."""
+    nxt = []
+    for i in layer:
+        u, v = divmod(i, n)
+        for col in cols:
+            x = col[u]
+            y = col[v]
+            if x == y:
+                return None
+            j = x * n + y if x < y else y * n + x
+            if j not in seen:
+                seen.add(j)
+                nxt.append(j)
+    return nxt
+
+
+def _table_word(cols: list[tuple[int, ...]], n: int, layers: list[list[int]]) -> list[int]:
+    """The word the pair table's FIFO BFS labels for the pair ``layers[0][0]``,
+    whose forward BFS layers up to its distance ``len(layers)`` are given.
+
+    The BFS queues level d by (queue position of the labeller, letter, p, q):
+    the labeller is the first queued pair at distance d-1 that some letter
+    sends the pair to, the letter the least such, and p the state going to
+    the labeller's smaller state (p < q for a diagonal labeller). The pairs
+    on shortest paths are those of layer t at distance len(layers) - t, and
+    they hold all their labellers, so ranking them one level at a time from
+    the diagonal (ranked by state) gives each its table letter."""
+    rank = {s * (n + 1): s for s in range(n)}
+    step: dict[int, tuple[int, int]] = {}
+    for layer in reversed(layers):
+        keyed = []
+        for j in layer:
+            u, v = divmod(j, n)
+            key = None
+            for x, col in enumerate(cols):
+                y = col[u]
+                z = col[v]
+                succ = y * n + z if y <= z else z * n + y
+                r = rank.get(succ)
+                if r is not None and (key is None or r < key[0]):
+                    key = (r, x, u, v, j) if y <= z else (r, x, v, u, j)
+                    step[j] = (x, succ)
+            if key is not None:
+                keyed.append(key)
+        keyed.sort()
+        rank = {key[4]: r for r, key in enumerate(keyed)}
+    word = []
+    j = layers[0][0]
+    for _ in layers:
+        x, j = step[j]
+        word.append(x)
+    return word
+
+
 def eppstein_greedy(a: Automaton) -> SearchResult:
     """Greedy pair merging: repeatedly merge the pair of current states with
     the shortest merging word (ties: lexicographically smallest pair) until a
     single state remains. Raises NotSynchronizing if some pair never merges.
 
-    Each merge picks its pair the cheaper of two exact ways: with m members,
-    scan all m(m-1)/2 member pairs if the table has labelled at least that
-    many off-diagonal pairs, else walk the table's levels upwards from 1 and
-    take the least index in the first level holding a pair of members. If
-    no labelled pair joins two members, the table grows to the first level
-    that holds one; since every unlabelled pair lies beyond its level, the
-    least labelled distance is the least distance."""
+    Each merge picks its pair one of three exact ways. If the table has
+    labelled a pair of members, then with m members it scans all m(m-1)/2
+    member pairs if the table has labelled at least that many off-diagonal
+    pairs, else walks the table's levels upwards from 1 and takes the least
+    index in the first level holding a pair of members; since every
+    unlabelled pair lies beyond its level, the least labelled distance is
+    the least distance. If not, a forward BFS from each member pair looks
+    ahead for the closest pair and reads off the word the grown table would
+    give it, for at most about the work of expanding the table's last level
+    (:func:`_merge_ahead`); failing that, the table grows to the first level
+    that holds a pair of members."""
     n = a.n
     table = build_pair_table(a)
     dist = table.dist
@@ -141,18 +236,26 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
                 if hits:
                     best = min(hits)
                     break
-        if best < 0:
-            # no pair of members is labelled yet: grow to the first level with one
-            best = min(table.grow(inside), default=-1)
-            if best < 0:
-                raise NotSynchronizing("some state pair has no merging word")
-        p, q = divmod(best, n)
         start = len(word)
-        while p != q:
-            x = letter_of[p * n + q if p < q else q * n + p]
-            word.append(x)
-            p = cols[x][p]
-            q = cols[x][q]
+        if best < 0:
+            # no pair of members is labelled yet: look ahead from the member
+            # pairs for at most the work of expanding the table's last level,
+            # else grow to the first level with one
+            ahead = _merge_ahead(cols, n, members, table.level + 1,
+                                 (len(order) - starts[-2]) * len(cols))
+            if ahead is not None:
+                word += ahead
+            else:
+                best = min(table.grow(inside), default=-1)
+                if best < 0:
+                    raise NotSynchronizing("some state pair has no merging word")
+        if best >= 0:
+            p, q = divmod(best, n)
+            while p != q:
+                x = letter_of[p * n + q if p < q else q * n + p]
+                word.append(x)
+                p = cols[x][p]
+                q = cols[x][q]
         members = sorted(set(_apply_word(cols, word[start:], members, blocks)))
     return SearchResult(len(word), tuple(word), "eppstein")
 

@@ -184,6 +184,26 @@ class TestSynchronizingWord:
         assert got == expect
         assert a.is_synchronizing_word(word) == brute_synchronizes(a, word)
 
+    def test_stops_once_one_state_is_left(self, monkeypatch):
+        # cerny(4)'s reset word, then a 100 000-letter tail: the first span
+        # leaves one state, so no later span is applied
+        a = cerny(4)
+        word = list(exact_shortest(a).word) + [0, 1] * 50_000
+        spans = []
+
+        def counted(*args):
+            spans.append(len(args[1]))
+            return _apply_word(*args)
+
+        monkeypatch.setattr("synchro.automaton._apply_word", counted)
+        assert a.is_synchronizing_word(word)
+        assert spans == [256]
+        # every letter is still checked, the tail's too
+        spans.clear()
+        with pytest.raises(ValueError):
+            a.is_synchronizing_word(word[:-1] + [2])
+        assert spans == []
+
 
 class TestCerny:
     def test_n4_table(self):

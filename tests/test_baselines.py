@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -14,6 +15,7 @@ from synchro import (
     random_automaton,
     synchronize,
 )
+from synchro.baselines import PairTable, _merge_ahead
 from synchro.bench import solve
 from conftest import brute_pair_merge_distance, eager_eppstein, no_shorter_reset_word
 
@@ -159,6 +161,79 @@ class TestPairTable:
                 if d > 0:
                     x = t.letter[i]
                     assert t.dist[pair_index(8, a.delta(p, x), a.delta(q, x))] == d - 1
+
+
+def table_merge_word(a, members):
+    """The merging word of the closest pair of ``members`` (ties: the least
+    index) read off the fully grown table, None if no pair merges, and
+    whether some pair never merges."""
+    n = a.n
+    t = grown_table(a)
+    dists = [(t.dist[p * n + q], p * n + q) for i, p in enumerate(members) for q in members[i + 1 :]]
+    merging = [pair for pair in dists if pair[0] > 0]
+    if not merging:
+        return None, True
+    p, q = divmod(min(merging)[1], n)
+    word = []
+    while p != q:
+        x = t.letter[pair_index(n, p, q)]
+        word.append(x)
+        p, q = a.delta(p, x), a.delta(q, x)
+    return word, len(merging) < len(dists)
+
+
+class TestMergeAhead:
+    @pytest.mark.parametrize("n", [10, 40])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gives_the_grown_tables_word(self, n, k, seed):
+        a = random_automaton(n, k, seed)
+        cols = list(zip(*a.rows))
+        rng = random.Random(seed)
+        for size in (2, 3, 6, n):
+            members = sorted(rng.sample(range(n), size))
+            expect, stuck = table_merge_word(a, members)
+            # None once the BFS of a pair that never merges is searched
+            allowed = [expect, None] if stuck else [expect]
+            assert _merge_ahead(cols, n, members, 1, 10**9) in allowed
+            if expect is not None:
+                # the least distance as the lower bound gives the same word
+                assert _merge_ahead(cols, n, members, len(expect), 10**9) in allowed
+
+    def test_budget_zero_gives_none(self):
+        a = random_automaton(10, 2, 0)
+        assert _merge_ahead(list(zip(*a.rows)), 10, list(range(10)), 1, 0) is None
+
+    def test_stops_at_the_lower_bound(self):
+        # {0, 1} merges under letter 0 at distance 1, the lower bound, so
+        # {0, 2}, which never merges, is not started: starting {0, 1} costs
+        # 1 and expanding it k = 2, a budget of 3 in all
+        cols = list(zip(*TWO_SINKS.rows))
+        assert _merge_ahead(cols, 4, [0, 1, 2, 3], 1, 3) == [0]
+        assert _merge_ahead(cols, 4, [0, 1, 2, 3], 1, 2) is None
+
+    def test_pair_that_never_merges_gives_none(self):
+        cols = list(zip(*TWO_SINKS.rows))
+        assert _merge_ahead(cols, 4, [0, 2], 1, 10**9) is None
+        with pytest.raises(NotSynchronizing):
+            eppstein_greedy(TWO_SINKS)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_far_merges_leave_the_table_small(self, seed, monkeypatch):
+        # the last merges, with few states left, are found by looking ahead:
+        # growing the table for them labelled 413 086-494 829 of the
+        # 499 500 pairs
+        labelled = []
+        grow = PairTable.grow
+
+        def counted(table, inside):
+            found = grow(table, inside)
+            labelled.append(len(table.order))
+            return found
+
+        monkeypatch.setattr(PairTable, "grow", counted)
+        eppstein_greedy(random_automaton(1000, 2, seed))
+        assert 0 < labelled[-1] < 60_000
 
 
 class TestEppsteinGreedy:

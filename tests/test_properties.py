@@ -1,6 +1,7 @@
 """Properties of every algorithm on small random automata (n <= 8, k <= 3;
 n <= 10 for the capped search, the start sets and the in-degree relabelling,
-n <= 12 for Eppstein's word and the word check), checked against the exact oracle, the
+n <= 12 for Eppstein's word and the word check, n <= 30 and k <= 4 for
+Eppstein's word on four families), checked against the exact oracle, the
 brute-force oracles and the automaton's own transition table."""
 
 import pytest
@@ -135,6 +136,44 @@ def test_indegree_permutation_matches_brute_relabel(a):
 @examples
 @given(automata(max_n=12))
 def test_eppstein_word_matches_eager_oracle(a):
+    try:
+        expected = eager_eppstein(a)
+    except NotSynchronizing:
+        with pytest.raises(NotSynchronizing):
+            eppstein_greedy(a)
+        return
+    assert eppstein_greedy(a).word == expected
+
+
+@st.composite
+def greedy_automata(draw):
+    """Automata of n <= 30 states and k <= 4 letters, from four families
+    whose greedy merges come both from the pair table and from the look-ahead
+    past it: uniform, few targets, permutations with one merging letter, and
+    duplicated letters."""
+    n = draw(st.integers(2, 30))
+    k = draw(st.integers(1, 4))
+    family = draw(st.sampled_from(["uniform", "targets", "permutations", "duplicated"]))
+    state = st.integers(0, n - 1)
+    if family == "targets":
+        state = st.sampled_from(draw(st.lists(state, min_size=1, max_size=3))) | state
+    if family == "permutations":
+        cols = [draw(st.permutations(range(n))) for _ in range(k)]
+        # letter x sends p where it sends q, another state
+        x = draw(st.integers(0, k - 1))
+        p = draw(st.integers(0, n - 1))
+        q = draw(st.integers(0, n - 2))
+        cols[x][p] = cols[x][q + (q >= p)]
+    else:
+        cols = [draw(st.lists(state, min_size=n, max_size=n)) for _ in range(k)]
+    if family == "duplicated":
+        cols = [draw(st.sampled_from(cols[: draw(st.integers(1, k))])) for _ in range(k)]
+    return Automaton(list(zip(*cols)))
+
+
+@examples
+@given(greedy_automata())
+def test_eppstein_word_matches_eager_oracle_on_families(a):
     try:
         expected = eager_eppstein(a)
     except NotSynchronizing:
