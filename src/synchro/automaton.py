@@ -122,11 +122,11 @@ class Automaton:
         return (1 << self.n) - 1
 
     def build_inverse(self) -> None:
-        """Force construction of the inverse table (e.g. before sharing)."""
+        """Build the inverse table now; perfbench's traced run times this."""
         self._inverse()
 
     def _inverse(self):
-        # Idempotent: a racing second build produces the identical tuple.
+        # Built on first use and kept; the transitions never change.
         inv = self._inv_bits
         if inv is None:
             masks_per_letter = []

@@ -12,6 +12,8 @@ from .results import InstanceTooLarge, NotSynchronizing, SearchResult
 # it explores can have 2^n subsets.
 EXACT_MAX_STATES = 20
 
+Columns = tuple[tuple[int, ...], ...]  # Automaton._cols: [x][p] is p's successor
+
 
 class PairTable:
     """Shortest merging words for unordered state pairs, built one distance
@@ -43,7 +45,7 @@ class PairTable:
         # (letter, per-state preimage lists, ascending), one entry per letter,
         # read off the columns so that no table is cached on ``a``
         self._inv = []
-        for x, col in enumerate(zip(*a.rows)):
+        for x, col in enumerate(a._cols):
             lists: list[list[int]] = [[] for _ in range(n)]
             for q, p in enumerate(col):
                 lists[p].append(q)
@@ -92,7 +94,7 @@ def build_pair_table(a: Automaton) -> PairTable:
 
 
 def _merge_ahead(
-    cols: list[tuple[int, ...]], n: int, members: list[int], lowest: int, budget: int
+    cols: Columns, n: int, members: list[int], lowest: int, budget: int
 ) -> list[int] | None:
     """The merging word a fully grown pair table gives the closest pair of
     ``members`` (sorted; no pair of them merges in fewer than ``lowest``
@@ -124,7 +126,7 @@ def _merge_ahead(
 
 
 def _next_layer(
-    cols: list[tuple[int, ...]], n: int, layer: list[int], seen: set[int]
+    cols: Columns, n: int, layer: list[int], seen: set[int]
 ) -> list[int] | None:
     """The pairs one letter from ``layer`` that are not in ``seen``, in the
     order first reached and added to ``seen``, or None if some letter
@@ -144,7 +146,7 @@ def _next_layer(
     return nxt
 
 
-def _table_word(cols: list[tuple[int, ...]], n: int, layers: list[list[int]]) -> list[int]:
+def _table_word(cols: Columns, n: int, layers: list[list[int]]) -> list[int]:
     """The word the pair table's FIFO BFS labels for the pair ``layers[0][0]``,
     whose forward BFS layers up to its distance ``len(layers)`` are given.
 
@@ -204,7 +206,7 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
     letter_of = table.letter
     order = table.order
     starts = table.starts
-    cols = list(zip(*a.rows))  # cols[x][p] is the successor of p under x
+    cols = a._cols  # cols[x][p] is the successor of p under x
     blocks: dict[tuple[int, ...], list[int]] = {}
     members = list(range(n))
     word: list[int] = []

@@ -13,9 +13,7 @@ preceding Eppstein run. Non-synchronizing samples are recorded with length
 from __future__ import annotations
 
 import csv
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Optional, TextIO
 
@@ -98,7 +96,6 @@ class ExperimentConfig:
     algorithms: tuple[str, ...] = ("eppstein", "cutoff-ibfs:n")
     start_mode: str = "all"
     permute_by_indegree: bool = False
-    jobs: int = 1
 
     def __post_init__(self):
         self.ns = tuple(self.ns)
@@ -109,8 +106,6 @@ class ExperimentConfig:
             raise ValueError("need k >= 1")
         if self.trials < 1:
             raise ValueError("need trials >= 1")
-        if self.jobs < 1:
-            raise ValueError("need jobs >= 1")
         if len(set(self.ns)) < len(self.ns):
             raise ValueError(f"repeated n in {list(self.ns)}")
         if len(set(self.algorithms)) < len(self.algorithms):
@@ -171,23 +166,11 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int) -> list[TrialRow]:
     return rows
 
 
-def _trial_worker(args: tuple[ExperimentConfig, int, int]) -> list[TrialRow]:
-    cfg, n, trial = args
-    return run_trial(cfg, n, trial)
-
-
 def run_experiment(cfg: ExperimentConfig) -> list[TrialRow]:
     """All trial rows, ordered by (position of n in cfg.ns, trial, algorithm
-    position) regardless of execution order."""
-    tasks = [(cfg, n, trial) for n in cfg.ns for trial in range(cfg.trials)]
-    if cfg.jobs > 1:
-        # fork starts every worker at the first submit: no more than trials or CPUs
-        workers = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_trial_worker, tasks, chunksize=4))
-    else:
-        chunks = [run_trial(cfg, n, trial) for cfg, n, trial in tasks]
-    return [row for chunk in chunks for row in chunk]
+    position), the trials run one after another."""
+    return [row for n in cfg.ns for trial in range(cfg.trials)
+            for row in run_trial(cfg, n, trial)]
 
 
 def write_csv(rows: list[TrialRow], out: TextIO) -> None:

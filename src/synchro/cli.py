@@ -37,8 +37,6 @@ EXIT_ERROR = 1
 EXIT_NOT_FOUND = 3
 EXIT_NOT_SYNCHRONIZING = 4
 
-JOBS_ENV = "SYNCHRO_JOBS"
-
 ALGO_HELP = "algorithm tags: eppstein, exact, cutoff-ibfs:{log|n|unbounded|<int>}"
 
 
@@ -143,13 +141,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    jobs = os.environ.get(JOBS_ENV, "1")
     try:
-        # isdigit() alone also accepts digits int() rejects or reads as
-        # ASCII ones, such as "²" and "３"
-        digits = jobs.strip()
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError(f"{JOBS_ENV} must be a positive integer, got {jobs!r}")
         cfg = ExperimentConfig(
             ns=tuple(args.n),
             k=args.k,
@@ -158,7 +150,6 @@ def _cmd_bench(args) -> int:
             algorithms=tuple(args.algos),
             start_mode=args.start_mode,
             permute_by_indegree=args.permute_indegree,
-            jobs=int(jobs),
         )
         # open the file first, so a bad path fails before the trials run
         out = nullcontext(sys.stdout) if args.out is None else open(args.out, "w")
@@ -169,7 +160,7 @@ def _cmd_bench(args) -> int:
     with out as fh:
         rows = run_experiment(cfg)
         write_csv(rows, fh)
-    print(f"# seed={cfg.seed} jobs={cfg.jobs}")
+    print(f"# seed={cfg.seed}")
     print(format_summary(rows), end="")
     return EXIT_OK
 

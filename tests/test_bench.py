@@ -2,7 +2,6 @@ import io
 
 import pytest
 
-from synchro import bench
 from synchro.automaton import START_MODES, Automaton, cerny, random_automaton
 from synchro.baselines import eppstein_greedy, exact_shortest
 from synchro.bench import (
@@ -205,44 +204,6 @@ class TestExperiment:
         assert (
             lines["cutoff-ibfs:n"].mean_time_s >= lines["eppstein"].mean_time_s
         )
-
-    def test_parallel_jobs_match_serial(self):
-        serial = ExperimentConfig(
-            ns=(5, 6), trials=4, seed=9, algorithms=("eppstein",), jobs=1
-        )
-        parallel = ExperimentConfig(
-            ns=(5, 6), trials=4, seed=9, algorithms=("eppstein",), jobs=2
-        )
-        key = lambda rows: [(r.n, r.trial, r.algorithm, r.length, r.seed) for r in rows]
-        assert key(run_experiment(serial)) == key(run_experiment(parallel))
-
-    def test_pool_no_larger_than_task_count(self, monkeypatch):
-        seen = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(bench.os, "cpu_count", lambda: 3)
-        cfg = ExperimentConfig(ns=(5,), trials=2, algorithms=("eppstein",), jobs=8)
-        assert len(run_experiment(cfg)) == 2
-        assert seen == [2]
-        # no more workers than CPUs, however many trials or jobs are asked for
-        cfg = ExperimentConfig(ns=(5,), trials=5, algorithms=("eppstein",), jobs=100000)
-        assert len(run_experiment(cfg)) == 5
-        monkeypatch.setattr(bench.os, "cpu_count", lambda: None)
-        assert len(run_experiment(cfg)) == 5
-        assert seen == [2, 3, 1]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

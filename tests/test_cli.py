@@ -185,27 +185,38 @@ def test_bench_to_stdout(capsys):
     assert out.startswith("n,k,trial,seed,algorithm,length,time_s,frontier_peak")
 
 
+def test_bench_ignores_the_removed_jobs_variable(capsys, monkeypatch):
+    # the trials always run in one process: the jobs variable older versions
+    # read, whatever its value, changes nothing but the times
+    def untimed(out):
+        return re.sub(r"(,|mean_time_s=)\d+\.\d{6}", r"\1", out)
+
+    argv = ("bench", "--n", "5", "--trials", "2", "--seed", "3")
+    _, plain, _ = run_cli(capsys, *argv)
+    for jobs in ("abc", "0"):
+        monkeypatch.setenv("SYNCHRO_JOBS", jobs)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert untimed(out) == untimed(plain)
+
+
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv",
     [
-        (("run", "--cerny", "4", "--algo", "cutoff-ibfs:0"), {}),
-        (("run", "--cerny", "4", "--maxlen", "-1"), {}),
-        (("bench", "--n", "5", "--trials", "1"), {"SYNCHRO_JOBS": "abc"}),
-        (("bench", "--n", "30", "--trials", "1", "--algos", "exact"), {}),
-        (("run", "--random", "21", "2", "--algo", "exact"), {}),
-        (("bench", "--n", "6", "6", "--trials", "2"), {}),
-        (("bench", "--n", "6", "--trials", "3", "--algos", "eppstein", "eppstein"), {}),
-        (("run", "--cerny", "3", "--algo", "cutoff-ibfs:²"), {}),
-        (("run", "--cerny", "3", "--algo", "cutoff-ibfs:３"), {}),
-        (("bench", "--n", "4", "--trials", "1", "--algos", "cutoff-ibfs:²"), {}),
-        (("bench", "--n", "4", "--trials", "1", "--algos", "cutoff-ibfs:３"), {}),
-        (("bench", "--n", "5", "--trials", "1"), {"SYNCHRO_JOBS": "²"}),
-        (("bench", "--n", "5", "--trials", "1"), {"SYNCHRO_JOBS": "３"}),
+        ("run", "--cerny", "4", "--algo", "cutoff-ibfs:0"),
+        ("run", "--cerny", "4", "--maxlen", "-1"),
+        ("bench", "--n", "30", "--trials", "1", "--algos", "exact"),
+        ("run", "--random", "21", "2", "--algo", "exact"),
+        ("bench", "--n", "6", "6", "--trials", "2"),
+        ("bench", "--n", "6", "--trials", "3", "--algos", "eppstein", "eppstein"),
+        ("run", "--cerny", "3", "--algo", "cutoff-ibfs:²"),
+        ("run", "--cerny", "3", "--algo", "cutoff-ibfs:３"),
+        ("bench", "--n", "4", "--trials", "1", "--algos", "cutoff-ibfs:²"),
+        ("bench", "--n", "4", "--trials", "1", "--algos", "cutoff-ibfs:３"),
     ],
     ids=[
         "maxsize-0",
         "maxlen-negative",
-        "jobs-not-an-integer",
         "exact-n-too-large",
         "run-exact-n-too-large",
         "bench-repeated-n",
@@ -214,20 +225,13 @@ def test_bench_to_stdout(capsys):
         "maxsize-fullwidth-digit",
         "bench-maxsize-superscript-digit",
         "bench-maxsize-fullwidth-digit",
-        "jobs-superscript-digit",
-        "jobs-fullwidth-digit",
     ],
 )
-def test_bad_input_exits_with_error_not_traceback(capsys, monkeypatch, argv, env):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_bad_input_exits_with_error_not_traceback(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_ERROR
     assert err.startswith("error: ")
     assert "Traceback" not in err
-    if "SYNCHRO_JOBS" in env:
-        jobs = env["SYNCHRO_JOBS"]
-        assert err == f"error: SYNCHRO_JOBS must be a positive integer, got {jobs!r}\n"
 
 
 @pytest.mark.parametrize("spec", ["²", "３"])
