@@ -17,10 +17,10 @@ import time
 from dataclasses import dataclass, fields
 from typing import Optional, TextIO
 
-from .automaton import START_MODES, Automaton, random_automaton
+from .automaton import Automaton, random_automaton
 from .baselines import EXACT_MAX_STATES, eppstein_greedy, exact_shortest
 from .results import NotSynchronizing, SearchResult
-from .search import UNBOUNDED, cutoff_ibfs, log_cap, synchronize
+from .search import UNBOUNDED, _check_options, cutoff_ibfs, log_cap, synchronize
 
 KNOWN_ALGORITHMS = ("eppstein", "exact", "cutoff-ibfs")
 
@@ -67,10 +67,14 @@ def solve(
 ) -> Optional[SearchResult]:
     """Run the algorithm a tag names on ``a``. A cutoff-ibfs tag runs
     `synchronize`, or with ``maxlen`` the inverse BFS alone up to that
-    length; "eppstein" and "exact" ignore the start mode and permutation.
-    Returns None if the word found is longer than ``maxlen``, whatever the
-    algorithm. Raises NotSynchronizing, and InstanceTooLarge from exact."""
+    length; "eppstein" and "exact" ignore the permutation. Every algorithm
+    alike has its tag, ``maxlen`` (>= 0) and start mode checked before any
+    work, so a bad one raises ValueError even where the algorithm would not
+    read it. Returns None if the word found is longer than ``maxlen``,
+    whatever the algorithm. Raises NotSynchronizing, and InstanceTooLarge
+    from exact."""
     name, spec = parse_algorithm(tag)
+    _check_options(start_mode, maxlen=maxlen or 0)
     if name == "eppstein":
         res = eppstein_greedy(a)
     elif name == "exact":
@@ -112,8 +116,7 @@ class ExperimentConfig:
             raise ValueError(f"repeated algorithm in {list(self.algorithms)}")
         for tag in self.algorithms:
             parse_algorithm(tag)
-        if self.start_mode not in START_MODES:
-            raise ValueError(f"unknown start mode {self.start_mode!r}")
+        _check_options(self.start_mode)
         if "exact" in self.algorithms and max(self.ns) > EXACT_MAX_STATES:
             raise ValueError(
                 f"exact handles n <= {EXACT_MAX_STATES}, got n={max(self.ns)}"

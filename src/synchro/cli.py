@@ -5,8 +5,10 @@ Subcommands:
          one algorithm, printed report
   bench  the benchmark matrix, CSV rows plus a summary block
 
-Exit codes for `run`: 0 found, 3 no word within maxlen, 4 not synchronizing,
-1 input/parse errors (argparse usage errors exit 2).
+Exit codes for `run`: 0 found, 3 no word within maxlen, 4 not synchronizing.
+Both commands exit 1 on bad input, a failed write, or out of memory, with
+one `error:` line on stderr and no traceback; a run that fails on bad input
+or out of memory prints nothing to stdout. argparse usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -19,17 +21,8 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .automaton import (
-    Automaton,
-    AutomatonFormatError,
-    START_MODES,
-    cerny,
-    parse_automaton,
-    random_automaton,
-)
-from .bench import (
-    ExperimentConfig, format_summary, parse_algorithm, run_experiment, solve, write_csv,
-)
+from .automaton import START_MODES, Automaton, cerny, parse_automaton, random_automaton
+from .bench import ExperimentConfig, format_summary, run_experiment, solve, write_csv
 from .results import InstanceTooLarge, NotSynchronizing, SearchResult, _render_word
 
 EXIT_OK = 0
@@ -46,8 +39,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Find short reset words of deterministic finite automata.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the search options, the same flags for both commands
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--start-mode", default="all", choices=START_MODES)
+    search.add_argument("--permute-indegree", action="store_true")
 
-    run = sub.add_parser("run", help="run one algorithm on one automaton")
+    run = sub.add_parser(
+        "run", parents=[search], help="run one algorithm on one automaton"
+    )
     src = run.add_mutually_exclusive_group(required=True)
     src.add_argument("--file", type=Path, help="automaton in the text format")
     src.add_argument("--cerny", type=int, metavar="N", help="Cerny automaton C_N")
@@ -63,10 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "runs standalone up to this length instead of using the Eppstein bound",
     )
     run.add_argument("--word", action="store_true", help="print the found word")
-    run.add_argument("--start-mode", default="all", choices=START_MODES)
-    run.add_argument("--permute-indegree", action="store_true")
 
-    bench = sub.add_parser("bench", help="benchmark a matrix of algorithms")
+    bench = sub.add_parser(
+        "bench", parents=[search], help="benchmark a matrix of algorithms"
+    )
     bench.add_argument(
         "--n", type=int, nargs="+", default=[50, 100, 200], help="state counts"
     )
@@ -78,8 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=ALGO_HELP,
     )
     bench.add_argument("--out", type=Path, default=None, help="CSV output path")
-    bench.add_argument("--start-mode", default="all", choices=START_MODES)
-    bench.add_argument("--permute-indegree", action="store_true")
     return parser
 
 
@@ -104,21 +101,8 @@ def _print_report(res: SearchResult, show_word: bool, elapsed: float) -> None:
 
 
 def _cmd_run(args) -> int:
-    try:
-        a = _load_automaton(args)
-    except (OSError, AutomatonFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
-    try:
-        parse_algorithm(args.algo)
-        if args.maxlen is not None and args.maxlen < 0:
-            raise ValueError(f"bad --maxlen {args.maxlen}: must be >= 0")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
-    print(f"n: {a.n}  k: {a.k}")
+    a = _load_automaton(args)
+    header = f"n: {a.n}  k: {a.k}"
     try:
         t0 = time.perf_counter()
         res = solve(
@@ -127,12 +111,10 @@ def _cmd_run(args) -> int:
         )
         elapsed = time.perf_counter() - t0
     except NotSynchronizing:
-        print("not synchronizing")
+        print(header, "not synchronizing", sep="\n")
         return EXIT_NOT_SYNCHRONIZING
-    except InstanceTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
 
+    print(header)
     if res is None:
         print(f"no reset word of length <= {args.maxlen} found")
         return EXIT_NOT_FOUND
@@ -141,22 +123,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        cfg = ExperimentConfig(
-            ns=tuple(args.n),
-            k=args.k,
-            trials=args.trials,
-            seed=args.seed,
-            algorithms=tuple(args.algos),
-            start_mode=args.start_mode,
-            permute_by_indegree=args.permute_indegree,
-        )
-        # open the file first, so a bad path fails before the trials run
-        out = nullcontext(sys.stdout) if args.out is None else open(args.out, "w")
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
+    cfg = ExperimentConfig(
+        ns=tuple(args.n),
+        k=args.k,
+        trials=args.trials,
+        seed=args.seed,
+        algorithms=tuple(args.algos),
+        start_mode=args.start_mode,
+        permute_by_indegree=args.permute_indegree,
+    )
+    # open the file first, so a bad path fails before the trials run
+    out = nullcontext(sys.stdout) if args.out is None else open(args.out, "w")
     with out as fh:
         rows = run_experiment(cfg)
         write_csv(rows, fh)
@@ -183,12 +160,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         code = command(args)
         sys.stdout.flush()
-    except OSError as exc:
-        # The commands report bad input themselves, so what gets here is
-        # mostly a failed write: a full disk, or a reader that closed the
-        # pipe. It ends the command like any other error, with no traceback.
-        _drop_stdout()
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, InstanceTooLarge, MemoryError) as exc:
+        # Bad input, a failed write (a full disk, or a reader that closed
+        # the pipe) or a table too large for memory: each ends the command
+        # with one line and no traceback. A MemoryError has no message.
+        try:
+            sys.stdout.flush()
+        except OSError:
+            _drop_stdout()
+        reason = "out of memory" if isinstance(exc, MemoryError) else exc
+        print(f"error: {reason}", file=sys.stderr)
         return EXIT_ERROR
     return code
 

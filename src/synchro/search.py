@@ -32,7 +32,9 @@ def log_cap(n: int) -> int:
     return max(1, math.ceil(math.log2(n))) if n > 1 else 1
 
 
-def _check_options(maxsize: Optional[int], start_mode: str, maxlen: int = 0) -> None:
+def _check_options(
+    start_mode: str, maxsize: Optional[int] = UNBOUNDED, maxlen: int = 0
+) -> None:
     if maxlen < 0:
         raise ValueError("maxlen must be >= 0")
     if maxsize is not UNBOUNDED and maxsize < 1:
@@ -51,7 +53,7 @@ def cutoff_ibfs(
 ) -> Optional[SearchResult]:
     """Run the cutoff inverse BFS; None if no reset word of length <= maxlen
     was found within the frontier budget."""
-    _check_options(maxsize, start_mode, maxlen)
+    _check_options(start_mode, maxsize, maxlen)
     n, k = a.n, a.k
     if n == 1:
         return SearchResult(0, (), "cutoff-ibfs", frontier_sizes=[1])
@@ -163,7 +165,7 @@ def synchronize(
     anything strictly shorter; returns whichever word is shorter. Raises
     NotSynchronizing when no reset word exists. The result's length never
     exceeds the Eppstein length."""
-    _check_options(maxsize, start_mode)
+    _check_options(start_mode, maxsize)
     bound = eppstein_greedy(a)
     if bound.length == 0:
         return bound

@@ -11,6 +11,12 @@ import pytest
 
 from synchro import Automaton, NotSynchronizing, cerny, eppstein_greedy
 
+# one tag of each algorithm tag form
+PARITY_TAGS = (
+    "eppstein", "exact", "cutoff-ibfs:log", "cutoff-ibfs:n",
+    "cutoff-ibfs:unbounded", "cutoff-ibfs:3",
+)
+
 
 def brute_image(a: Automaton, members, letter) -> set[int]:
     return {a.delta(q, letter) for q in members}

@@ -29,6 +29,9 @@ class TestAutomatonConstruction:
             Automaton([[0, 0], [0]])
         with pytest.raises(ValueError):
             Automaton([[0], [2]])
+        for n, k in ((0, 2), (2, 0)):
+            with pytest.raises(ValueError, match="need n >= 1 and k >= 1"):
+                random_automaton(n, k, 0)
 
     @pytest.mark.parametrize("entry", [1.9, "1"], ids=["float", "str"])
     def test_rejects_non_integer_entries(self, entry):
@@ -357,9 +360,10 @@ class TestTextFormat:
         assert "3" in str(exc.value)
 
     def test_malformed_header(self):
-        with pytest.raises(AutomatonFormatError) as exc:
-            parse_automaton("2\n0 0\n0 0\n")
-        assert exc.value.line == 1
+        for text in ("2\n0 0\n0 0\n", " \n", "0 2\n"):
+            with pytest.raises(AutomatonFormatError) as exc:
+                parse_automaton(text)
+            assert exc.value.line == 1
 
     # int() reads each of these as 2, or as 0 and 1, so they used to parse
     @pytest.mark.parametrize("two", ["+2", "0_2", "\uff12", "\u0662"])

@@ -2,6 +2,8 @@ import io
 
 import pytest
 
+import synchro.bench
+from conftest import PARITY_TAGS
 from synchro.automaton import START_MODES, Automaton, cerny, random_automaton
 from synchro.baselines import eppstein_greedy, exact_shortest
 from synchro.bench import (
@@ -115,6 +117,20 @@ class TestSolve:
         assert solve(cerny(4), tag, maxlen=length - 1) is None
         assert solve(cerny(4), tag, maxlen=length).length == length
 
+    @pytest.mark.parametrize("tag", PARITY_TAGS)
+    @pytest.mark.parametrize(
+        "bad", [dict(maxlen=-1), dict(start_mode="bogus")], ids=["maxlen", "start-mode"]
+    )
+    def test_every_tag_checks_its_options_before_any_work(self, monkeypatch, tag, bad):
+        # eppstein and exact read neither option, yet reject a bad one alike
+        def no_work(*args, **kwargs):
+            raise AssertionError("an algorithm ran before the options were checked")
+
+        for name in ("eppstein_greedy", "exact_shortest", "synchronize", "cutoff_ibfs"):
+            monkeypatch.setattr(synchro.bench, name, no_work)
+        with pytest.raises(ValueError):
+            solve(cerny(4), tag, **bad)
+
     @pytest.mark.parametrize("tag", ["eppstein", "exact", "cutoff-ibfs:n"])
     def test_not_synchronizing_propagates(self, tag):
         with pytest.raises(NotSynchronizing):
@@ -210,6 +226,8 @@ class TestExperiment:
             ExperimentConfig(ns=(), trials=1)
         with pytest.raises(ValueError):
             ExperimentConfig(ns=(4,), trials=0)
+        with pytest.raises(ValueError):
+            ExperimentConfig(ns=(4,), k=0)
         with pytest.raises(ValueError):
             ExperimentConfig(ns=(4,), algorithms=("bogus",))
 

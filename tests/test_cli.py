@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import PARITY_TAGS
 from synchro import cerny, cli, random_automaton, serialize_automaton
 from synchro.bench import ExperimentConfig, run_experiment, solve, trial_seed
 from synchro.cli import (
@@ -248,12 +249,6 @@ def test_non_ascii_digit_maxsize_is_a_bad_maxsize(capsys, argv, spec):
     )
 
 
-PARITY_TAGS = (
-    "eppstein", "exact", "cutoff-ibfs:log", "cutoff-ibfs:n",
-    "cutoff-ibfs:unbounded", "cutoff-ibfs:3",
-)
-
-
 def test_run_length_matches_the_bench_row(tmp_path, capsys):
     # run and bench take one tag grammar, so a tag gives the same word length
     rows = run_experiment(
@@ -326,13 +321,23 @@ def test_readme_run_examples_run(capsys):
             assert f"length: {length}\n" in out, argv
 
 
-def run_cli_process(argv, stdout):
+def run_cli_process(argv, stdout, preexec_fn=None):
     # a fresh interpreter, so its exit-time flush of stdout runs too
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     return subprocess.run(
-        [sys.executable, "-m", "synchro.cli", *argv],
-        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        [sys.executable, "-m", "synchro.cli", *argv], stdout=stdout,
+        stderr=subprocess.PIPE, text=True, env=env, timeout=60, preexec_fn=preexec_fn,
     )
+
+
+def run_cli_process_in_little_memory(argv):
+    # 1.5 GB of address space, set in the child alone
+    def limit():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    return run_cli_process(argv, subprocess.PIPE, preexec_fn=limit)
 
 
 def assert_error_without_traceback(proc):
@@ -365,3 +370,18 @@ def test_bench_out_to_full_device_is_an_error_not_a_traceback():
     )
     assert_error_without_traceback(proc)
     assert "No space left" in proc.stderr
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_AS")
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--random", "30000", "2"],
+     ["bench", "--n", "30000", "--trials", "1", "--algos", "eppstein"]],
+    ids=["run", "bench"],
+)
+def test_out_of_memory_is_an_error_not_a_traceback(argv):
+    # the pair table alone takes 5 n^2 bytes, 4.5 GB at n = 30000, so under
+    # the limit its allocation fails at once; run only under the limit
+    proc = run_cli_process_in_little_memory(argv)
+    assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
+    assert proc.stderr == "error: out of memory\n"

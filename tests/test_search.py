@@ -110,6 +110,17 @@ class TestCutoffIbfs:
         assert res is None
         assert time.perf_counter() - t0 < 0.5
 
+    def test_level_with_no_preimages_ends_search(self):
+        # with cap 1, level 1 keeps {0, 2} and level 2 keeps {0}, which no
+        # state enters: level 3 has no set to keep, and the search ends there
+        # instead of walking to maxlen
+        a = Automaton([[1, 2], [2, 1], [1, 1]])
+        assert cutoff_ibfs(a, 9, 1) is None
+        assert brute_capped_search(a, 9, 1) is None
+        assert cutoff_ibfs(a, 10**9, 1) is None
+        res = synchronize(a, 1)
+        assert (res.algorithm, res.word) == ("eppstein", (0, 1))
+
     @pytest.mark.parametrize("seed", range(30))
     def test_unbounded_matches_exact_oracle(self, seed):
         a = random_automaton(7, 2, seed)
