@@ -22,39 +22,34 @@ from .baselines import EXACT_MAX_STATES, eppstein_greedy, exact_shortest
 from .results import NotSynchronizing, SearchResult
 from .search import UNBOUNDED, _check_options, cutoff_ibfs, log_cap, synchronize
 
-KNOWN_ALGORITHMS = ("eppstein", "exact", "cutoff-ibfs")
+# The frontier caps a cutoff-ibfs tag may name, each with its rule in n
+NAMED_CAPS = {"log": log_cap, "n": lambda n: n, "unbounded": lambda n: UNBOUNDED}
 
 
 def parse_algorithm(tag: str) -> tuple[str, Optional[str]]:
-    """Split an algorithm tag into (name, maxsize spec). Valid tags:
-    "eppstein", "exact", "cutoff-ibfs:log", "cutoff-ibfs:n",
-    "cutoff-ibfs:unbounded", "cutoff-ibfs:<int>"."""
-    name, _, spec = tag.partition(":")
-    if name not in KNOWN_ALGORITHMS:
-        raise ValueError(f"unknown algorithm {tag!r}")
-    if name != "cutoff-ibfs":
-        if spec:
+    """Split an algorithm tag into (name, maxsize spec). Each algorithm has
+    one spelling: "eppstein", "exact", "cutoff-ibfs:<cap>" for a cap in
+    `NAMED_CAPS`, or "cutoff-ibfs:<int>" with no leading zero."""
+    name, colon, spec = tag.partition(":")
+    if name in ("eppstein", "exact"):
+        if colon:
             raise ValueError(f"{name} takes no maxsize spec: {tag!r}")
         return name, None
+    if name != "cutoff-ibfs":
+        raise ValueError(f"unknown algorithm {tag!r}")
     if not spec:
         raise ValueError(f"cutoff-ibfs needs a maxsize spec, e.g. {name}:n")
     # isdigit() alone also accepts digits int() rejects, such as "²"
-    digits = spec.isascii() and spec.isdigit()
-    if not (spec in ("log", "n", "unbounded") or (digits and int(spec) >= 1)):
+    digits = spec.isascii() and spec.isdigit() and spec[0] != "0"
+    if not (spec in NAMED_CAPS or digits):
         raise ValueError(
-            f"bad maxsize {spec!r}: use log, n, unbounded or an integer >= 1"
+            f"bad maxsize {spec!r}: use {', '.join(NAMED_CAPS)} or an integer >= 1"
         )
     return name, spec
 
 
 def resolve_maxsize(spec: str, n: int) -> Optional[int]:
-    if spec == "log":
-        return log_cap(n)
-    if spec == "n":
-        return n
-    if spec == "unbounded":
-        return UNBOUNDED
-    return int(spec)
+    return NAMED_CAPS[spec](n) if spec in NAMED_CAPS else int(spec)
 
 
 def solve(

@@ -22,15 +22,19 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .automaton import START_MODES, Automaton, cerny, parse_automaton, random_automaton
-from .bench import ExperimentConfig, format_summary, run_experiment, solve, write_csv
-from .results import InstanceTooLarge, NotSynchronizing, SearchResult, _render_word
+from .bench import (
+    NAMED_CAPS, ExperimentConfig, format_summary, run_experiment, solve, write_csv,
+)
+from .results import NotSynchronizing, SearchResult, _render_word
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_FOUND = 3
 EXIT_NOT_SYNCHRONIZING = 4
 
-ALGO_HELP = "algorithm tags: eppstein, exact, cutoff-ibfs:{log|n|unbounded|<int>}"
+ALGO_HELP = (
+    f"algorithm tags: eppstein, exact, cutoff-ibfs:{{{'|'.join(NAMED_CAPS)}|<int>}}"
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,9 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--n", type=int, nargs="+", default=[50, 100, 200], help="state counts"
     )
-    bench.add_argument("--k", type=int, default=2)
-    bench.add_argument("--trials", type=int, default=200)
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--k", type=int, default=2, help="alphabet size")
+    bench.add_argument("--trials", type=int, default=200, help="random automata per n")
+    bench.add_argument("--seed", type=int, default=0, help="seed of the automata")
     bench.add_argument(
         "--algos", nargs="+", default=["eppstein", "cutoff-ibfs:log", "cutoff-ibfs:n"],
         help=ALGO_HELP,
@@ -124,13 +128,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = ExperimentConfig(
-        ns=tuple(args.n),
-        k=args.k,
-        trials=args.trials,
-        seed=args.seed,
-        algorithms=tuple(args.algos),
-        start_mode=args.start_mode,
-        permute_by_indegree=args.permute_indegree,
+        ns=args.n, k=args.k, trials=args.trials, seed=args.seed, algorithms=args.algos,
+        start_mode=args.start_mode, permute_by_indegree=args.permute_indegree,
     )
     # open the file first, so a bad path fails before the trials run
     out = nullcontext(sys.stdout) if args.out is None else open(args.out, "w")
@@ -160,7 +159,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         code = command(args)
         sys.stdout.flush()
-    except (OSError, ValueError, InstanceTooLarge, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         # Bad input, a failed write (a full disk, or a reader that closed
         # the pipe) or a table too large for memory: each ends the command
         # with one line and no traceback. A MemoryError has no message.

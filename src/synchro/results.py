@@ -20,7 +20,7 @@ class NotSynchronizing(Exception):
     """The automaton admits no reset word."""
 
 
-class InstanceTooLarge(Exception):
+class InstanceTooLarge(ValueError):
     """The instance exceeds the configured exact-search limit."""
 
 

@@ -16,6 +16,7 @@ the kept positions of earlier levels.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Optional
 
 from .automaton import START_MODES, Automaton, _indegree_order, _relabel, start_set
@@ -35,9 +36,10 @@ def log_cap(n: int) -> int:
 def _check_options(
     start_mode: str, maxsize: Optional[int] = UNBOUNDED, maxlen: int = 0
 ) -> None:
-    if maxlen < 0:
+    # operator.index raises TypeError for a non-integer, such as 2.5
+    if operator.index(maxlen) < 0:
         raise ValueError("maxlen must be >= 0")
-    if maxsize is not UNBOUNDED and maxsize < 1:
+    if maxsize is not UNBOUNDED and operator.index(maxsize) < 1:
         raise ValueError("maxsize must be >= 1 or UNBOUNDED")
     if start_mode not in START_MODES:
         raise ValueError(f"unknown start mode {start_mode!r}")

@@ -306,6 +306,8 @@ class TestExactShortest:
             exact_shortest(TWO_PERMUTATIONS)
 
     def test_instance_limit(self):
+        # bad input, as a malformed automaton text is
+        assert issubclass(InstanceTooLarge, ValueError)
         with pytest.raises(InstanceTooLarge):
             exact_shortest(random_automaton(21, 2, 0))
 

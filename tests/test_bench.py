@@ -8,6 +8,7 @@ from synchro.automaton import START_MODES, Automaton, cerny, random_automaton
 from synchro.baselines import eppstein_greedy, exact_shortest
 from synchro.bench import (
     CSV_COLUMNS,
+    NAMED_CAPS,
     ExperimentConfig,
     TrialRow,
     parse_algorithm,
@@ -18,6 +19,7 @@ from synchro.bench import (
     trial_seed,
     write_csv,
 )
+from synchro.cli import ALGO_HELP
 from synchro.results import NotSynchronizing
 from synchro.search import UNBOUNDED, log_cap, synchronize
 
@@ -47,6 +49,11 @@ class TestAlgorithmTags:
             "eppstein:3",
             "cutoff-ibfs:²",
             "cutoff-ibfs:３",
+            # one spelling per algorithm
+            "eppstein:",
+            "exact:",
+            "cutoff-ibfs:07",
+            "cutoff-ibfs:00",
         ],
     )
     def test_invalid_tags(self, tag):
@@ -58,6 +65,11 @@ class TestAlgorithmTags:
         assert resolve_maxsize("n", 100) == 100
         assert resolve_maxsize("unbounded", 100) is UNBOUNDED
         assert resolve_maxsize("12", 100) == 12
+
+    @pytest.mark.parametrize("cap", NAMED_CAPS)
+    def test_every_named_cap_is_a_tag_in_the_help(self, cap):
+        assert parse_algorithm(f"cutoff-ibfs:{cap}") == ("cutoff-ibfs", cap)
+        assert cap in ALGO_HELP.split("cutoff-ibfs:{")[1].rstrip("}").split("|")
 
 
 def _outcome(call):
@@ -245,3 +257,5 @@ class TestExperiment:
             ExperimentConfig(ns=(6, 6), trials=2)
         with pytest.raises(ValueError):
             ExperimentConfig(ns=(6,), algorithms=("eppstein", "eppstein"))
+        with pytest.raises(ValueError):
+            ExperimentConfig(ns=(6,), algorithms=("cutoff-ibfs:7", "cutoff-ibfs:07"))

@@ -214,6 +214,7 @@ def test_bench_ignores_the_removed_jobs_variable(capsys, monkeypatch):
         ("run", "--cerny", "3", "--algo", "cutoff-ibfs:３"),
         ("bench", "--n", "4", "--trials", "1", "--algos", "cutoff-ibfs:²"),
         ("bench", "--n", "4", "--trials", "1", "--algos", "cutoff-ibfs:３"),
+        ("bench", "--n", "8", "25", "--trials", "3", "--algos", "eppstein", "exact:"),
     ],
     ids=[
         "maxsize-0",
@@ -226,6 +227,7 @@ def test_bench_ignores_the_removed_jobs_variable(capsys, monkeypatch):
         "maxsize-fullwidth-digit",
         "bench-maxsize-superscript-digit",
         "bench-maxsize-fullwidth-digit",
+        "bench-exact-alias",
     ],
 )
 def test_bad_input_exits_with_error_not_traceback(capsys, argv):
@@ -233,6 +235,9 @@ def test_bad_input_exits_with_error_not_traceback(capsys, argv):
     assert code == EXIT_ERROR
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    if argv[-1] == "exact:":
+        # the alias is refused before any trial, not at the n=25 limit
+        assert "'exact:'" in err
 
 
 @pytest.mark.parametrize("spec", ["²", "３"])
@@ -283,7 +288,8 @@ def test_run_has_no_maxsize_option(capsys):
 
 @pytest.mark.parametrize(
     "tag", ["cutoff-ibfs", "cutoff-ibfs:", "cutoff-ibfs:0", "cutoff-ibfs:-1",
-            "eppstein:3", "exact:n", "cycle", ""],
+            "eppstein:3", "exact:n", "cycle", "", "eppstein:", "exact:",
+            "cutoff-ibfs:07"],
 )
 def test_run_rejects_a_tag_as_bench_does(capsys, tag):
     run = run_cli(capsys, "run", "--cerny", "4", "--algo", tag)

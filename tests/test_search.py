@@ -41,6 +41,7 @@ class TestOptions:
         with pytest.raises(ValueError):
             run(cerny(3), start_mode="nope")
         run(cerny(3), maxsize=UNBOUNDED)
+        run(cerny(3), maxsize=True)  # a bool is an int
 
     def test_standalone_maxlen(self):
         with pytest.raises(ValueError):
@@ -65,6 +66,24 @@ class TestOptions:
         monkeypatch.setattr(synchro.search, "eppstein_greedy", no_greedy)
         with pytest.raises(ValueError):
             synchronize(random_automaton(n, 2, 0), **{"maxsize": 1, **bad})
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda a: synchronize(a, 2.5),
+            lambda a: cutoff_ibfs(a, 5, 2.5),
+            lambda a: cutoff_ibfs(a, 5.0),
+        ],
+        ids=["synchronize-maxsize", "cutoff_ibfs-maxsize", "cutoff_ibfs-maxlen"],
+    )
+    def test_non_integer_options_fail_before_any_work(self, monkeypatch, call):
+        def no_work(*args):
+            raise AssertionError("work began before the options were checked")
+
+        monkeypatch.setattr(synchro.search, "eppstein_greedy", no_work)
+        monkeypatch.setattr(synchro.search, "_relabel", no_work)
+        with pytest.raises(TypeError):
+            call(random_automaton(1000, 2, 0))
 
     def test_log_cap(self):
         assert log_cap(1) == 1
