@@ -141,12 +141,7 @@ class Automaton:
 
     def image_bits(self, bits: int, a: int) -> int:
         col = self._cols[a]
-        out = 0
-        while bits:
-            low = bits & -bits
-            out |= 1 << col[low.bit_length() - 1]
-            bits ^= low
-        return out
+        return reduce(or_, [1 << col[q] for q in _bit_members(bits)], 0)
 
     def preimage_bits(self, bits: int, a: int) -> int:
         # Preimage distributes over union, so combine one table entry per
@@ -276,6 +271,7 @@ def start_set(a: Automaton, mode: str = "all") -> list[int]:
     """
     if mode not in START_MODES:
         raise ValueError(f"unknown start mode {mode!r}")
+    states: list[int] = []
     if mode == "sink":
         states = _sink_component(a)
     elif mode == "high-indegree":
@@ -283,11 +279,7 @@ def start_set(a: Automaton, mode: str = "all") -> list[int]:
         states = [
             p for p in range(a.n) if any(masks[p].bit_count() >= 2 for masks in inv)
         ]
-    else:
-        states = list(range(a.n))
-    if not states:
-        states = list(range(a.n))
-    return states
+    return states or list(range(a.n))
 
 
 def _relabel(a: Automaton, new: Sequence[int]) -> Automaton:

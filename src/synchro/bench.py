@@ -29,7 +29,8 @@ NAMED_CAPS = {"log": log_cap, "n": lambda n: n, "unbounded": lambda n: UNBOUNDED
 def parse_algorithm(tag: str) -> tuple[str, Optional[str]]:
     """Split an algorithm tag into (name, maxsize spec). Each algorithm has
     one spelling: "eppstein", "exact", "cutoff-ibfs:<cap>" for a cap in
-    `NAMED_CAPS`, or "cutoff-ibfs:<int>" with no leading zero."""
+    `NAMED_CAPS`, or "cutoff-ibfs:<int>" with no leading zero and no more
+    digits than int() reads."""
     name, colon, spec = tag.partition(":")
     if name in ("eppstein", "exact"):
         if colon:
@@ -39,12 +40,19 @@ def parse_algorithm(tag: str) -> tuple[str, Optional[str]]:
         raise ValueError(f"unknown algorithm {tag!r}")
     if not spec:
         raise ValueError(f"cutoff-ibfs needs a maxsize spec, e.g. {name}:n")
+    if spec in NAMED_CAPS:
+        return name, spec
     # isdigit() alone also accepts digits int() rejects, such as "²"
-    digits = spec.isascii() and spec.isdigit() and spec[0] != "0"
-    if not (spec in NAMED_CAPS or digits):
+    if not (spec.isascii() and spec.isdigit()) or spec == "0":
         raise ValueError(
             f"bad maxsize {spec!r}: use {', '.join(NAMED_CAPS)} or an integer >= 1"
         )
+    try:
+        int(spec)
+    except ValueError:  # past the interpreter's limit on int digits
+        raise ValueError(f"bad maxsize: {len(spec)} digits are too many") from None
+    if spec[0] == "0":
+        raise ValueError(f"bad maxsize {spec!r}: an integer has no leading zero")
     return name, spec
 
 

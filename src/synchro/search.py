@@ -74,7 +74,7 @@ def cutoff_ibfs(
     nbytes = (n + 7) // 8  # table lookups per preimage_bits call
     letters = range(k)
     frontier = sorted((1 << q for q in start_set(r, start_mode)), reverse=True)
-    sizes = [len(frontier)]
+    start_count = len(frontier)
     level_ops: list[int] = []
     probes: list[int] = []
     distinct: list[int] = []
@@ -136,7 +136,7 @@ def cutoff_ibfs(
                 level,
                 tuple(word),
                 "cutoff-ibfs",
-                frontier_sizes=sizes,
+                frontier_sizes=[start_count, *map(len, links)],
                 level_ops=level_ops,
                 level_probes=probes,
                 level_distinct=distinct,
@@ -148,7 +148,6 @@ def cutoff_ibfs(
             break
         frontier = trie.take_largest(maxsize or len(trie))
         links.append(list(map(trie.__getitem__, frontier)))
-        sizes.append(len(frontier))
         if frontier == checkpoint:
             break
         if level & (level - 1) == 0:

@@ -1,7 +1,10 @@
 """The public names: every export resolves, so a stale entry in
 ``synchro.__all__`` fails here rather than in a user's import, and every
-entry point that the benchmark's tracer hooks still exists."""
+entry point that the benchmark's tracer hooks still exists. The package
+imports nothing beyond the standard library."""
 
+import ast
+import sys
 from pathlib import Path
 
 import synchro
@@ -20,6 +23,25 @@ def test_star_import():
 
 def test_no_duplicate_exports():
     assert len(synchro.__all__) == len(set(synchro.__all__))
+
+
+def test_package_imports_only_the_standard_library():
+    # an installed third-party module would import fine here, so read the
+    # import statements instead; relative imports are the package's own
+    outside = []
+    for path in sorted(Path(synchro.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}: {name}" for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []
 
 
 def test_benchmark_hook_targets_exist(monkeypatch):

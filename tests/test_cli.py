@@ -254,6 +254,32 @@ def test_non_ascii_digit_maxsize_is_a_bad_maxsize(capsys, argv, spec):
     )
 
 
+@pytest.mark.parametrize("spec", ["07", "00"])
+@pytest.mark.parametrize(
+    "argv",
+    [("run", "--cerny", "3", "--algo"), ("bench", "--n", "4", "--trials", "1", "--algos")],
+    ids=["run", "bench"],
+)
+def test_leading_zero_maxsize_names_the_zero(capsys, argv, spec):
+    code, _, err = run_cli(capsys, *argv, f"cutoff-ibfs:{spec}")
+    assert code == EXIT_ERROR
+    assert err == f"error: bad maxsize {spec!r}: an integer has no leading zero\n"
+
+
+def test_over_long_maxsize_fails_before_any_work(tmp_path, capsys):
+    # one digit past the interpreter's default limit on int() digits
+    tag = "cutoff-ibfs:" + "9" * 4301
+    out = tmp_path / "rows.csv"
+    out.write_text("kept\n")
+    bench = run_cli(
+        capsys, "bench", "--n", "4", "--trials", "2", "--algos", "eppstein", tag,
+        "--out", str(out),
+    )
+    run = run_cli(capsys, "run", "--cerny", "4", "--algo", tag)
+    assert run == bench == (EXIT_ERROR, "", "error: bad maxsize: 4301 digits are too many\n")
+    assert out.read_text() == "kept\n"
+
+
 def test_run_length_matches_the_bench_row(tmp_path, capsys):
     # run and bench take one tag grammar, so a tag gives the same word length
     rows = run_experiment(

@@ -1,16 +1,18 @@
 """Properties of every algorithm on small random automata (n <= 8, k <= 3;
 n <= 10 for the capped search, the start sets and the in-degree relabelling,
-n <= 12 for Eppstein's word and the word check, n <= 30 and k <= 4 for
-Eppstein's word on four families), checked against the exact oracle, the
-brute-force oracles and the automaton's own transition table."""
+n <= 12 for Eppstein's word and the word check, n <= 14 and k <= 4 for the
+pair table's queue order, n <= 30 and k <= 4 for Eppstein's word on four
+families), checked against the exact oracle, the brute-force oracles and the
+automaton's own transition table."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from synchro import (
     UNBOUNDED,
     Automaton,
     NotSynchronizing,
+    cerny,
     cutoff_ibfs,
     eppstein_greedy,
     exact_shortest,
@@ -21,6 +23,7 @@ from synchro import (
     synchronize,
 )
 from synchro.automaton import START_MODES
+from synchro.baselines import PairTable
 from synchro.bench import solve
 from conftest import (
     brute_capped_search,
@@ -43,9 +46,9 @@ examples = settings(max_examples=100, deadline=None)
 
 
 @st.composite
-def automata(draw, max_n=8):
+def automata(draw, max_n=8, max_k=3):
     n = draw(st.integers(1, max_n))
-    k = draw(st.sampled_from([1, 2, 3]))
+    k = draw(st.sampled_from(range(1, max_k + 1)))
     rows = draw(
         st.lists(
             st.lists(st.integers(0, n - 1), min_size=k, max_size=k),
@@ -143,6 +146,40 @@ def test_eppstein_word_matches_eager_oracle(a):
             eppstein_greedy(a)
         return
     assert eppstein_greedy(a).word == expected
+
+
+@examples
+@given(automata(max_n=14, max_k=4))
+@example(cerny(3))
+@example(cerny(5))
+@example(cerny(12))
+@example(cerny(30))
+def test_pair_table_levels_follow_the_fifo_rule(a):
+    # The greedy's look-ahead (_table_word) reads table letters off this
+    # rule: each level is queued by (position of its labeller in the queue,
+    # letter, state sent to the labeller's smaller state, the other state),
+    # minimised over the letters that send the pair one level down.
+    n = a.n
+    table = PairTable(a)
+    while table.grow(b"\1" * n):
+        pass
+    order, starts = list(table.order), table.starts
+    position = {j: i for i, j in enumerate(order)}
+    for d in range(1, len(starts) - 1):
+        level = order[starts[d] : starts[d + 1]]
+
+        def key(j):
+            u, v = divmod(j, n)
+            keys = []
+            for x, col in enumerate(a._cols):
+                y, z = col[u], col[v]
+                succ = y * n + z if y <= z else z * n + y
+                if table.dist[succ] == d - 1:
+                    keys.append((position[succ], x, u, v) if y <= z else
+                                (position[succ], x, v, u))
+            return min(keys)
+
+        assert sorted(level, key=key) == level
 
 
 @st.composite
