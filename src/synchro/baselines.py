@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
+from itertools import combinations
 
 from .automaton import Automaton, _apply_word
 from .results import InstanceTooLarge, NotSynchronizing, SearchResult
@@ -94,72 +95,68 @@ def build_pair_table(a: Automaton) -> PairTable:
 
 
 def _merge_ahead(
-    cols: Columns, n: int, members: list[int], lowest: int, budget: int
-) -> list[int] | None:
-    """The merging word a fully grown pair table gives the closest pair of
-    ``members`` (sorted; no pair of them merges in fewer than ``lowest``
-    letters), found by a forward BFS over pairs from each member pair in turn,
-    or None once the BFS has cost more than ``budget`` (1 per pair started, k
-    per pair of each layer expanded) or some member pair never merges."""
+    cols: Columns, table: PairTable, members: list[int], budget: int
+) -> tuple[list[int], int] | None:
+    """The first letters of the merging word a fully grown ``table`` gives the
+    closest pair of ``members`` (sorted; no pair of them labelled), up to the
+    labelled pair they lead to, and that pair; or None once the search has
+    cost more than ``budget`` (1 per pair started, k per pair of each layer
+    expanded) or some member pair never merges.
+
+    A forward BFS over pairs from each member pair in turn stops at the first
+    layer t that holds a labelled pair. Every pair at distance <= l =
+    ``table.level`` is labelled and every other pair lies beyond l, so the
+    member pair is at distance t + l and the labelled pairs of layer t at l."""
+    n, dist = table.n, table.dist
     k = len(cols)
     best: list[list[int]] = []  # forward layers of the closest pair so far
-    for i, p in enumerate(members):
-        for q in members[i + 1 :]:
-            budget -= 1
-            layers = [[p * n + q]]
-            seen = {p * n + q}
-            # expanding layer t finds a distance of t + 1; a tie keeps the
-            # earlier pair, so only distances below len(best) are sought
-            while not best or len(layers) < len(best):
-                layer = layers[-1]
-                budget -= k * len(layer)
-                if budget < 0 or not layer:
-                    return None
-                nxt = _next_layer(cols, n, layer, seen)
-                if nxt is None:
-                    best = layers
-                    break
-                layers.append(nxt)
-            if len(best) == lowest:
-                return _table_word(cols, n, best)
-    return _table_word(cols, n, best) if best else None
-
-
-def _next_layer(
-    cols: Columns, n: int, layer: list[int], seen: set[int]
-) -> list[int] | None:
-    """The pairs one letter from ``layer`` that are not in ``seen``, in the
-    order first reached and added to ``seen``, or None if some letter
-    merges a pair of ``layer``."""
-    nxt = []
-    for i in layer:
-        u, v = divmod(i, n)
-        for col in cols:
-            x = col[u]
-            y = col[v]
-            if x == y:
+    for p, q in combinations(members, 2):
+        budget -= 1
+        layers = [[p * n + q]]
+        seen = {p * n + q}
+        # a tie keeps the earlier pair, so a later one only seeks the table
+        # in fewer than len(best) - 1 letters
+        while not best or len(layers) < len(best) - 1:
+            budget -= k * len(layers[-1])
+            if budget < 0 or not layers[-1]:
                 return None
-            j = x * n + y if x < y else y * n + x
-            if j not in seen:
-                seen.add(j)
-                nxt.append(j)
-    return nxt
+            nxt = []
+            for i in layers[-1]:
+                u, v = divmod(i, n)
+                for col in cols:
+                    x = col[u]
+                    y = col[v]
+                    j = x * n + y if x <= y else y * n + x
+                    if j not in seen:
+                        seen.add(j)
+                        nxt.append(j)
+            layers.append(nxt)
+            if any(dist[j] >= 0 for j in nxt):
+                best = layers
+                break
+        if len(best) == 2:
+            break  # no pair meets the table in fewer than one letter
+    return _table_word(cols, table, best) if best else None
 
 
-def _table_word(cols: Columns, n: int, layers: list[list[int]]) -> list[int]:
-    """The word the pair table's FIFO BFS labels for the pair ``layers[0][0]``,
-    whose forward BFS layers up to its distance ``len(layers)`` are given.
+def _table_word(
+    cols: Columns, table: PairTable, layers: list[list[int]]
+) -> tuple[list[int], int]:
+    """The letters the pair table's FIFO BFS labels for the pair
+    ``layers[0][0]`` up to its forward BFS layer ``layers[-1]``, the first
+    that holds labelled pairs, and the labelled pair they lead to.
 
     The BFS queues level d by (queue position of the labeller, letter, p, q):
     the labeller is the first queued pair at distance d-1 that some letter
     sends the pair to, the letter the least such, and p the state going to
     the labeller's smaller state (p < q for a diagonal labeller). The pairs
-    on shortest paths are those of layer t at distance len(layers) - t, and
-    they hold all their labellers, so ranking them one level at a time from
-    the diagonal (ranked by state) gives each its table letter."""
-    rank = {s * (n + 1): s for s in range(n)}
+    on shortest paths hold all their labellers, so ranking them one layer at
+    a time back from the labelled pairs of the last (ranked by queue
+    position) gives each its table letter."""
+    n, order, level_start = table.n, table.order, table.starts[-2]
+    rank = {j: order.index(j, level_start) for j in layers[-1] if table.dist[j] >= 0}
     step: dict[int, tuple[int, int]] = {}
-    for layer in reversed(layers):
+    for layer in reversed(layers[:-1]):
         keyed = []
         for j in layer:
             u, v = divmod(j, n)
@@ -178,10 +175,10 @@ def _table_word(cols: Columns, n: int, layers: list[list[int]]) -> list[int]:
         rank = {key[4]: r for r, key in enumerate(keyed)}
     word = []
     j = layers[0][0]
-    for _ in layers:
+    while j in step:
         x, j = step[j]
         word.append(x)
-    return word
+    return word, j
 
 
 def eppstein_greedy(a: Automaton) -> SearchResult:
@@ -196,10 +193,11 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
     index in the first level holding a pair of members; since every
     unlabelled pair lies beyond its level, the least labelled distance is
     the least distance. If not, a forward BFS from each member pair looks
-    ahead for the closest pair and reads off the word the grown table would
-    give it, for at most about the work of expanding the table's last level
-    (:func:`_merge_ahead`); failing that, the table grows to the first level
-    that holds a pair of members."""
+    ahead to the table's labelled pairs for the closest pair and the letters
+    the grown table would give it up to one of them, for at most about the
+    work of expanding the table's last level (:func:`_merge_ahead`); failing
+    that, the table grows to the first level that holds a pair of members.
+    Either way the rest of the word is the table's letters."""
     n = a.n
     table = build_pair_table(a)
     dist = table.dist
@@ -241,23 +239,23 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
         start = len(word)
         if best < 0:
             # no pair of members is labelled yet: look ahead from the member
-            # pairs for at most the work of expanding the table's last level,
-            # else grow to the first level with one
-            ahead = _merge_ahead(cols, n, members, table.level + 1,
+            # pairs to the table for at most the work of expanding its last
+            # level, else grow to the first level with one
+            ahead = _merge_ahead(cols, table, members,
                                  (len(order) - starts[-2]) * len(cols))
             if ahead is not None:
-                word += ahead
+                prefix, best = ahead
+                word += prefix
             else:
                 best = min(table.grow(inside), default=-1)
                 if best < 0:
                     raise NotSynchronizing("some state pair has no merging word")
-        if best >= 0:
-            p, q = divmod(best, n)
-            while p != q:
-                x = letter_of[p * n + q if p < q else q * n + p]
-                word.append(x)
-                p = cols[x][p]
-                q = cols[x][q]
+        p, q = divmod(best, n)
+        while p != q:
+            x = letter_of[p * n + q if p < q else q * n + p]
+            word.append(x)
+            p = cols[x][p]
+            q = cols[x][q]
         members = sorted(set(_apply_word(cols, word[start:], members, blocks)))
     return SearchResult(len(word), tuple(word), "eppstein")
 

@@ -182,47 +182,69 @@ def table_merge_word(a, members):
     return word, len(merging) < len(dists)
 
 
+def ahead_word(a, table, members):
+    """The merging word ``_merge_ahead`` finds for ``members`` on ``table``
+    (unbudgeted): its prefix, then the table's letters from the labelled pair
+    it meets, which lies at the table's level; None if it finds none."""
+    ahead = _merge_ahead(list(zip(*a.rows)), table, members, 10**9)
+    if ahead is None:
+        return None
+    word, meet = ahead
+    assert table.dist[meet] == table.level
+    p, q = divmod(meet, a.n)
+    while p != q:
+        x = table.letter[pair_index(a.n, p, q)]
+        word.append(x)
+        p, q = a.delta(p, x), a.delta(q, x)
+    return word
+
+
 class TestMergeAhead:
     @pytest.mark.parametrize("n", [10, 40])
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(4))
     def test_gives_the_grown_tables_word(self, n, k, seed):
         a = random_automaton(n, k, seed)
-        cols = list(zip(*a.rows))
         rng = random.Random(seed)
         for size in (2, 3, 6, n):
             members = sorted(rng.sample(range(n), size))
             expect, stuck = table_merge_word(a, members)
             # None once the BFS of a pair that never merges is searched
             allowed = [expect, None] if stuck else [expect]
-            assert _merge_ahead(cols, n, members, 1, 10**9) in allowed
+            # a fresh table is met on the diagonal, its level 0, so the
+            # prefix is the whole word
+            assert ahead_word(a, PairTable(a), members) in allowed
             if expect is not None:
-                # the least distance as the lower bound gives the same word
-                assert _merge_ahead(cols, n, members, len(expect), 10**9) in allowed
+                # grown to each level below the least distance, the table is
+                # met at that level, and the prefix and its letters from the
+                # meeting pair give the same word
+                table = PairTable(a)
+                while table.level < len(expect) - 1:
+                    grow_level(table)
+                    assert ahead_word(a, table, members) in allowed
 
     def test_budget_zero_gives_none(self):
         a = random_automaton(10, 2, 0)
-        assert _merge_ahead(list(zip(*a.rows)), 10, list(range(10)), 1, 0) is None
+        assert _merge_ahead(list(zip(*a.rows)), PairTable(a), list(range(10)), 0) is None
 
     def test_stops_at_the_lower_bound(self):
-        # {0, 1} merges under letter 0 at distance 1, the lower bound, so
-        # {0, 2}, which never merges, is not started: starting {0, 1} costs
-        # 1 and expanding it k = 2, a budget of 3 in all
+        # {0, 1} meets the diagonal under letter 0, one letter ahead, which
+        # no pair beats, so {0, 2}, which never merges, is not started:
+        # starting {0, 1} costs 1 and expanding it k = 2, a budget of 3 in all
         cols = list(zip(*TWO_SINKS.rows))
-        assert _merge_ahead(cols, 4, [0, 1, 2, 3], 1, 3) == [0]
-        assert _merge_ahead(cols, 4, [0, 1, 2, 3], 1, 2) is None
+        assert _merge_ahead(cols, PairTable(TWO_SINKS), [0, 1, 2, 3], 3) == ([0], 0)
+        assert _merge_ahead(cols, PairTable(TWO_SINKS), [0, 1, 2, 3], 2) is None
 
     def test_pair_that_never_merges_gives_none(self):
         cols = list(zip(*TWO_SINKS.rows))
-        assert _merge_ahead(cols, 4, [0, 2], 1, 10**9) is None
+        assert _merge_ahead(cols, PairTable(TWO_SINKS), [0, 2], 10**9) is None
         with pytest.raises(NotSynchronizing):
             eppstein_greedy(TWO_SINKS)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_far_merges_leave_the_table_small(self, seed, monkeypatch):
-        # the last merges, with few states left, are found by looking ahead:
-        # growing the table for them labelled 413 086-494 829 of the
-        # 499 500 pairs
+        # the far merges are found by looking ahead to the table, so growing
+        # it labels only 3 815-4 064 of the 499 500 pairs
         labelled = []
         grow = PairTable.grow
 
@@ -233,7 +255,7 @@ class TestMergeAhead:
 
         monkeypatch.setattr(PairTable, "grow", counted)
         eppstein_greedy(random_automaton(1000, 2, seed))
-        assert 0 < labelled[-1] < 60_000
+        assert 0 < labelled[-1] < 6_000
 
 
 class TestEppsteinGreedy:
