@@ -43,13 +43,45 @@ def _byte_tables(masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
-# Words are applied to a state list in runs of this many letters, each run
-# through one column composed over all states and kept for reuse.
+# Words are applied to a state list in runs of _LONG letters, then of _BLOCK
+# letters, then letter by letter; each run goes through one column composed
+# over all states and kept for reuse, a long run's from the columns of its
+# four short runs.
 _BLOCK = 16
-# At most this many composed columns of n states are kept per cache, so a
-# long word with many distinct runs applies the rest letter by letter, which
-# costs no more than composing a column it would not reuse.
+_LONG = 4 * _BLOCK
+# At most this many composed columns of n states, of both lengths together,
+# are kept per cache. A run that would pass it falls back to shorter runs:
+# a long one to its short runs, a short one to its letters, which costs no
+# more than composing a column it would not reuse.
 _MAX_BLOCKS = 64
+
+
+def _column(
+    cols: Sequence[Sequence[int]],
+    run: tuple[int, ...],
+    blocks: dict[tuple[int, ...], list[int]],
+) -> list[int] | None:
+    """The composed column of ``run`` (_BLOCK or _LONG letters) from
+    ``blocks``, else composed and kept there if the columns this adds leave
+    at most _MAX_BLOCKS, else None."""
+    col = blocks.get(run)
+    if col is not None:
+        return col
+    if len(run) == _BLOCK:
+        if len(blocks) >= _MAX_BLOCKS:
+            return None
+        col = list(range(len(cols[0])))
+        for x in run:
+            col = list(map(cols[x].__getitem__, col))
+    else:
+        parts = [run[i : i + _BLOCK] for i in range(0, _LONG, _BLOCK)]
+        if len(blocks) + len(set(parts) - blocks.keys()) >= _MAX_BLOCKS:
+            return None
+        col = _column(cols, parts[0], blocks)
+        for part in parts[1:]:
+            col = list(map(_column(cols, part, blocks).__getitem__, col))
+    blocks[run] = col
+    return col
 
 
 def _apply_word(
@@ -60,25 +92,24 @@ def _apply_word(
 ) -> list[int]:
     """The successors of ``states`` under ``word``, one per entry, in order
     and with repeats; ``cols[x][p]`` is the successor of p under x. The
-    composed column of each full run is kept in ``blocks``, keyed by the
-    run, so that a caller applying many words can share it."""
-    n = len(cols[0])
+    composed column of each run is kept in ``blocks``, keyed by the run, so
+    that a caller applying many words can share it."""
     states = list(states)
     start = 0
+    short = 0  # runs before this position take _BLOCK letters
     while len(word) - start >= _BLOCK:
-        run = tuple(word[start : start + _BLOCK])
-        start += _BLOCK
-        col = blocks.get(run)
+        size = _LONG if start >= short and len(word) - start >= _LONG else _BLOCK
+        run = tuple(word[start : start + size])
+        col = _column(cols, run, blocks)
+        if col is None and size == _LONG:
+            short = start + _LONG  # no room for its column: take its short runs
+            continue
+        start += size
         if col is None:
-            if len(blocks) >= _MAX_BLOCKS:
-                for x in run:
-                    states = list(map(cols[x].__getitem__, states))
-                continue
-            col = list(range(n))
             for x in run:
-                col = list(map(cols[x].__getitem__, col))
-            blocks[run] = col
-        states = list(map(col.__getitem__, states))
+                states = list(map(cols[x].__getitem__, states))
+        else:
+            states = list(map(col.__getitem__, states))
     for x in word[start:]:
         states = list(map(cols[x].__getitem__, states))
     return states

@@ -27,8 +27,10 @@ class PairTable:
     every pair at distance <= ``level`` is labelled and the rest read -1.
     ``order`` is the BFS queue, every labelled index in BFS order; level d is
     ``order[starts[d]:starts[d+1]]``, level 0 the diagonal. Letters take one
-    byte each when k <= 256. :meth:`grow` labels further levels. Since the
-    queue order is that of one uninterrupted BFS, so is every stored letter.
+    byte each when k <= 256. :meth:`grow` labels further levels, expanding
+    the queue one pair at a time, so it costs per pair and not per level.
+    Since the queue order is that of one uninterrupted BFS, so is every
+    stored letter.
     """
 
     __slots__ = ("n", "dist", "letter", "order", "starts", "level", "_inv")
@@ -55,38 +57,47 @@ class PairTable:
     def grow(self, inside: bytes | bytearray) -> list[int]:
         """Label levels until one holds pairs of states both flagged in
         ``inside`` and return their indices ``p*n+q`` in BFS order (all-ones
-        flags: the next level); once the BFS ends, return [] instead."""
-        n, dist, letter, order, starts = (
-            self.n, self.dist, self.letter, self.order, self.starts)
+        flags: the next level); once the BFS ends, return [] instead.
+
+        One ``head`` position runs through ``order`` from the start of the
+        last labelled level; when it reaches ``end``, the end of the level
+        being expanded, the next level is complete up to the queue's end."""
+        n, dist, letter, order, starts, inv = (
+            self.n, self.dist, self.letter, self.order, self.starts, self._inv)
         append = order.append
-        d1 = self.level
+        d1 = self.level + 1
+        head = starts[-2]
+        end = starts[-1]
+        hits: list[int] = []
         while True:
-            d1 += 1
-            hits: list[int] = []
-            for i in order[starts[-2]:]:
-                u = i // n
-                v = i - u * n
-                for x, inv in self._inv:
-                    inv_u = inv[u]
-                    inv_v = inv[v]
-                    if not (inv_u and inv_v):
-                        continue
-                    for p in inv_u:
-                        for q in inv_v:
-                            # p == q hits the diagonal, which is labelled 0
-                            j = p * n + q if p < q else q * n + p
-                            if dist[j] < 0:
-                                dist[j] = d1
-                                letter[j] = x
-                                append(j)
-                                if inside[p] and inside[q]:
-                                    hits.append(j)
-            if len(order) == starts[-1]:
-                return hits
-            self.level = d1
-            starts.append(len(order))
-            if hits:
-                return hits
+            if head == end:
+                if len(order) == end:
+                    return hits
+                self.level = d1
+                end = len(order)
+                starts.append(end)
+                if hits:
+                    return hits
+                d1 += 1
+            i = order[head]
+            head += 1
+            u = i // n
+            v = i - u * n
+            for x, pre in inv:
+                inv_u = pre[u]
+                inv_v = pre[v]
+                if not (inv_u and inv_v):
+                    continue
+                for p in inv_u:
+                    for q in inv_v:
+                        # p == q hits the diagonal, which is labelled 0
+                        j = p * n + q if p < q else q * n + p
+                        if dist[j] < 0:
+                            dist[j] = d1
+                            letter[j] = x
+                            append(j)
+                            if inside[p] and inside[q]:
+                                hits.append(j)
 
 
 def build_pair_table(a: Automaton) -> PairTable:
@@ -189,15 +200,16 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
     Each merge picks its pair one of three exact ways. If the table has
     labelled a pair of members, then with m members it scans all m(m-1)/2
     member pairs if the table has labelled at least that many off-diagonal
-    pairs, else walks the table's levels upwards from 1 and takes the least
-    index in the first level holding a pair of members; since every
-    unlabelled pair lies beyond its level, the least labelled distance is
-    the least distance. If not, a forward BFS from each member pair looks
-    ahead to the table's labelled pairs for the closest pair and the letters
-    the grown table would give it up to one of them, for at most about the
-    work of expanding the table's last level (:func:`_merge_ahead`); failing
-    that, the table grows to the first level that holds a pair of members.
-    Either way the rest of the word is the table's letters."""
+    pairs, else scans ``order`` once past the diagonal for the first pair of
+    members and takes the least index of a member pair in its level; since
+    every unlabelled pair lies beyond the table's level, the least labelled
+    distance is the least distance. If not, a forward BFS from each member
+    pair looks ahead to the table's labelled pairs for the closest pair and
+    the letters the grown table would give it up to one of them, for at
+    most about the work of expanding the table's last level
+    (:func:`_merge_ahead`); failing that, the table grows to the first level
+    that holds a pair of members. Either way the rest of the word is the
+    table's letters."""
     n = a.n
     table = build_pair_table(a)
     dist = table.dist
@@ -228,13 +240,13 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
                 if best_d == 1:
                     break
         else:
-            for d in range(1, table.level + 1):
-                hits = [
-                    i for i in order[starts[d] : starts[d + 1]]
-                    if inside[i // n] and inside[i % n]
-                ]
-                if hits:
-                    best = min(hits)
+            for i in order[n:]:
+                if inside[i // n] and inside[i % n]:
+                    d = dist[i]
+                    best = min([
+                        j for j in order[order.index(i, starts[d]) : starts[d + 1]]
+                        if inside[j // n] and inside[j % n]
+                    ])
                     break
         start = len(word)
         if best < 0:

@@ -1,8 +1,9 @@
+import itertools
 import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st, target
 
 from synchro import (
     Automaton,
@@ -17,7 +18,7 @@ from synchro import (
     serialize_automaton,
     start_set,
 )
-from synchro.automaton import _MAX_BLOCKS, _apply_word
+from synchro.automaton import _BLOCK, _LONG, _MAX_BLOCKS, _apply_word
 from conftest import brute_image, brute_preimage, brute_synchronizes
 
 
@@ -165,8 +166,8 @@ class TestSynchronizingWord:
             cerny(3).is_synchronizing_word((0, 2))
 
     def test_long_word_checks_in_time(self, cerny300_greedy):
-        # the word applies in composed 16-letter runs: letter by letter on
-        # a bit mask it took about 2 s
+        # the word applies in composed 64- and 16-letter runs: letter by
+        # letter on a bit mask it took about 2 s
         a = cerny(300)
         t0 = time.perf_counter()
         assert a.is_synchronizing_word(cerny300_greedy.word)
@@ -206,6 +207,87 @@ class TestSynchronizingWord:
         with pytest.raises(ValueError):
             a.is_synchronizing_word(word[:-1] + [2])
         assert spans == []
+
+
+def _letter_by_letter(a, word, states):
+    for x in word:
+        states = [a.delta(q, x) for q in states]
+    return states
+
+
+class _Spy(dict):
+    """A column cache that records each lookup as (run length, hit)."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def get(self, run, default=None):
+        self.asked.append((len(run), run in self))
+        return super().get(run, default)
+
+
+class _Counted(list):
+    """A letter's column that counts the states it is applied to."""
+
+    reads = 0
+
+    def __getitem__(self, p):
+        _Counted.reads += 1
+        return super().__getitem__(p)
+
+
+class TestApplyWord:
+    @settings(deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 3), st.integers(1, 4),
+           st.integers(1, 8), st.integers(0, 2**32))
+    def test_runs_of_both_lengths_match_letter_by_letter(self, n, k, r, words, seed):
+        # words of up to 1 200 letters: r random 16-letter runs picked at
+        # random, then a ragged tail; long runs recur, and with r = 4 the up
+        # to 4**4 distinct ones can fill the shared cache
+        rng = random.Random(seed)
+        a = random_automaton(n, k, seed)
+        runs = [[rng.randrange(k) for _ in range(_BLOCK)] for _ in range(r)]
+        blocks = {}
+        for _ in range(words):
+            length = rng.randrange(1201)
+            word = [x for _ in range(length // _BLOCK) for x in rng.choice(runs)]
+            word += [rng.randrange(k) for _ in range(length % _BLOCK)]
+            states = [rng.randrange(n) for _ in range(rng.randrange(2 * n + 1))]
+            got = _apply_word(a._cols, word, states, blocks)
+            assert got == _letter_by_letter(a, word, states)
+            assert len(blocks) <= _MAX_BLOCKS
+        target(len(blocks))  # steer towards a full cache
+
+    def test_a_long_run_past_the_full_cache_takes_its_short_runs(self):
+        # 60 distinct long runs of four short runs fill the cache with 4 + 60
+        # columns; then an uncached long run falls back to its cached short
+        # runs, and the next long run still uses its own column
+        a = random_automaton(12, 2, 0)
+        rng = random.Random(0)
+        short = []
+        while len(short) < 4:
+            run = tuple(rng.randrange(2) for _ in range(_BLOCK))
+            if run not in short:
+                short.append(run)
+        long = [sum(quad, ()) for quad in itertools.product(short, repeat=4)]
+        blocks = _Spy()
+        fill = [x for run in long[:60] for x in run]
+        _apply_word(a._cols, fill, range(a.n), blocks)
+        assert len(blocks) == _MAX_BLOCKS
+        assert sorted(map(len, blocks)) == [_BLOCK] * 4 + [_LONG] * 60
+        keys = set(blocks)
+
+        word = list(long[60] + long[0] + long[61] + short[1]) + [1, 0, 1]
+        cols = tuple(_Counted(col) for col in a._cols)
+        blocks.asked.clear()
+        _Counted.reads = 0
+        got = _apply_word(cols, word, range(a.n), blocks)
+        assert got == _letter_by_letter(a, word, range(a.n))
+        assert set(blocks) == keys
+        fallback = [(_LONG, False)] + [(_BLOCK, True)] * 4
+        assert blocks.asked == fallback + [(_LONG, True)] + fallback + [(_BLOCK, True)]
+        assert _Counted.reads == 3 * a.n  # only the three letters of the tail
 
 
 class TestCerny:

@@ -300,14 +300,16 @@ class TestEppsteinGreedy:
 
     @pytest.mark.parametrize(
         "a",
-        [cerny(n) for n in (17, 25, 40)]
+        [cerny(n) for n in (17, 25, 40, 70, 100)]
         + [random_automaton(n, k, s) for n in (60, 150) for k in (2, 3) for s in range(3)],
-        ids=[f"cerny{n}" for n in (17, 25, 40)]
+        ids=[f"cerny{n}" for n in (17, 25, 40, 70, 100)]
         + [f"random{n}-k{k}-s{s}" for n in (60, 150) for k in (2, 3) for s in range(3)],
     )
     def test_matches_eager_oracle_with_long_merge_words(self, a):
-        # Sizes where the greedy picks pairs both by scanning members and by
-        # walking levels, and where cerny's merge words span 16-letter blocks.
+        # Sizes where the greedy picks pairs both by scanning member pairs and
+        # by scanning the table's queue, and where cerny's merge words repeat 16- and
+        # 64-letter runs (cerny(70) and cerny(100) apply 115 and 301 of their
+        # 64-letter runs from cached columns).
         assert eppstein_greedy(a).word == eager_eppstein(a)
 
     def test_deterministic(self):

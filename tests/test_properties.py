@@ -1,9 +1,11 @@
 """Properties of every algorithm on small random automata (n <= 8, k <= 3;
 n <= 10 for the capped search, the start sets and the in-degree relabelling,
 n <= 12 for Eppstein's word and the word check, n <= 14 and k <= 4 for the
-pair table's queue order, n <= 30 and k <= 4 for Eppstein's word on four
-families), checked against the exact oracle, the brute-force oracles and the
-automaton's own transition table."""
+pair table's queue order and its pauses, n <= 30 and k <= 4 for Eppstein's
+word on four families), checked against the exact oracle, the brute-force
+oracles and the automaton's own transition table."""
+
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -182,6 +184,27 @@ def test_pair_table_levels_follow_the_fifo_rule(a):
         assert sorted(level, key=key) == level
 
 
+@examples
+@given(automata(max_n=14, max_k=4), st.integers(0, 2**32))
+@example(cerny(5), 0)
+@example(cerny(12), 1)
+@example(cerny(30), 2)
+def test_pair_table_pauses_and_resumes_cleanly(a, seed):
+    # grow pauses at each level that holds a pair of flagged states and
+    # resumes where its queue stopped, so its table is the one-call table
+    n = a.n
+    rng = random.Random(seed)
+    table = PairTable(a)
+    while table.grow(bytes(rng.randrange(2) for _ in range(n))):
+        pass
+    whole = PairTable(a)
+    assert whole.grow(bytes(n)) == []
+    for field in ("order", "starts", "dist", "letter", "level"):
+        assert getattr(table, field) == getattr(whole, field)
+    assert table.grow(b"\1" * n) == []
+    assert table.level == whole.level
+
+
 @st.composite
 def greedy_automata(draw):
     """Automata of n <= 30 states and k <= 4 letters, from four families
@@ -223,7 +246,8 @@ def test_eppstein_word_matches_eager_oracle_on_families(a):
 @examples
 @given(automata(max_n=12), st.data())
 def test_word_check_matches_bit_walk(a, data):
-    # a repeated pattern gives words of many 16-letter runs, some recurring
+    # a repeated pattern gives words of many 64- and 16-letter runs, some
+    # recurring
     letters = st.integers(0, a.k - 1)
     word = data.draw(st.lists(letters, max_size=40)) * data.draw(st.integers(1, 30))
     assert a.is_synchronizing_word(word) == brute_synchronizes(a, word)
