@@ -33,7 +33,8 @@ def _byte_tables(masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     ``j`` is the OR of ``masks[8*j + i]`` over the bits ``i`` set in ``b``.
     A short last byte is padded with zero masks. Equal entries share one int
     where the OR would only copy it: ``0 | x`` is ``x``, and with ``x == 0``
-    the new half repeats ``t``."""
+    the new half repeats ``t``. The tables then take memory only for their
+    distinct unions."""
     tables = []
     for j in range(0, len(masks), 8):
         t = [0]
@@ -209,7 +210,9 @@ class Automaton:
         return self.preimage_bits(bits, a)
 
     def is_synchronizing_word(self, word: Sequence[int]) -> bool:
-        """True iff applying ``word`` to the full state set yields a singleton."""
+        """True iff applying ``word`` to the full state set yields a singleton.
+        Every letter is checked first, so a letter outside ``[0, k)`` raises
+        ValueError even after the states have merged."""
         for a in word:
             self._check_letter(a)
         # Spans of runs, each span's states deduplicated, so that the state
@@ -271,7 +274,10 @@ def _closure(nbrs: Sequence[int], root: int, seen: int = 0) -> int:
 
 def _sink_component(a: Automaton) -> list[int]:
     """The states every state reaches (all letters), or [] if there are
-    none. They form the one sink SCC when it is unique."""
+    none. They form the one sink SCC when it is unique. Three passes of mask
+    closures, each visiting a state at most once, find them: the sweep
+    below, a check that its last root is reached from all, and that root's
+    forward closure."""
     full = a.full_bits
     pred = [reduce(or_, masks) for masks in zip(*a._inverse())]
     # Sweep backward closures over the states not yet seen; the seen set

@@ -117,7 +117,10 @@ def _merge_ahead(
     A forward BFS over pairs from each member pair in turn stops at the first
     layer t that holds a labelled pair. Every pair at distance <= l =
     ``table.level`` is labelled and every other pair lies beyond l, so the
-    member pair is at distance t + l and the labelled pairs of layer t at l."""
+    member pair is at distance t + l and the labelled pairs of layer t at l.
+    The budget is about the work of expanding the table's last level, the
+    least a :meth:`PairTable.grow` costs, so a look-ahead that gives up costs
+    no more than the growth it falls back to."""
     n, dist = table.n, table.dist
     k = len(cols)
     best: list[list[int]] = []  # forward layers of the closest pair so far
@@ -209,7 +212,10 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
     most about the work of expanding the table's last level
     (:func:`_merge_ahead`); failing that, the table grows to the first level
     that holds a pair of members. Either way the rest of the word is the
-    table's letters."""
+    table's letters. All three give the lexicographically smallest pair at
+    the least distance, so the words are those of a greedy that reads a
+    fully built table; the table grows only when no other way finds a pair,
+    which on random automata leaves its widest levels unbuilt."""
     n = a.n
     table = build_pair_table(a)
     dist = table.dist

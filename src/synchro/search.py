@@ -6,11 +6,20 @@ first level whose preimages reach the full set yields a reset word of that
 length. Its options (``maxsize``, ``start_mode``, ``permute_by_indegree``)
 are the same keywords in `cutoff_ibfs` and `synchronize`, and both check them
 before any work. The search runs on one relabelled copy of the automaton,
-numbered by in-degree under permutation and mirrored. Each level is one
-batch: its preimages go into one list, a dict built in C keeps each distinct
-set's first position there (parent index times k plus letter), and the cut
-sorts the masks in C; the word is read back from the goal's position through
-the kept positions of earlier levels.
+numbered by in-degree under permutation and mirrored; letters keep their
+names in every numbering, so the copy's words are the caller's. Each level
+is one batch: its preimages go into one list, a dict built in C keeps each
+distinct set's first position there (parent index times k plus letter), and
+the cut sorts the masks in C, so no tie-break key is built per set and
+neither step runs Python code per set. The word is read back from the goal's
+position through the kept positions of earlier levels.
+
+A level's kept sets fix every later level, so a frontier equal to the one
+kept at the last power-of-two level (Brent's method) means a cycle, and the
+search stops there; so it ends on an automaton with no reset word without
+walking up to ``maxlen``. Each level hands the preimages of the sets it expanded to the
+next; a preimage depends only on the mask and the letter, so this reuse
+changes no word and no frontier size.
 """
 
 from __future__ import annotations
@@ -67,7 +76,9 @@ def cutoff_ibfs(
     # has the larger mask, which is the order take_largest ranks by. Every
     # start set names the same states under any numbering, so it is taken
     # on the copy, whose inverse the search reads anyway. The copy's tables
-    # die with the call.
+    # die with the call, so none stays cached on the caller's automaton and
+    # the byte tables are never alive beside the greedy's pair table; the
+    # price is that every call builds them again.
     pi = _indegree_order(a) if permute_by_indegree else range(n)
     r = _relabel(a, [n - 1 - p for p in pi])
     full = r.full_bits

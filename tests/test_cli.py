@@ -11,7 +11,10 @@ import pytest
 
 from conftest import PARITY_TAGS
 from synchro import cerny, cli, random_automaton, serialize_automaton
-from synchro.bench import ExperimentConfig, run_experiment, solve, trial_seed
+from synchro.bench import (
+    CSV_COLUMNS, NAMED_CAPS, ExperimentConfig, parse_algorithm, run_experiment, solve,
+    trial_seed,
+)
 from synchro.cli import (
     EXIT_ERROR,
     EXIT_NOT_FOUND,
@@ -325,21 +328,31 @@ def test_run_rejects_a_tag_as_bench_does(capsys, tag):
     assert run[2].startswith("error: ") and "Traceback" not in run[2]
 
 
-def _readme_run_lines():
-    """The `synchro run` commands of README's fenced blocks, `\\` continuations
-    joined, as (argv after "synchro", expected length or None)."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M)
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands(subcommand):
+    """The `synchro <subcommand>` lines of README's fenced sh blocks, `\\`
+    continuations joined, as (command, trailing comment)."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.S | re.M)
     commands = []
     for block in blocks:
         for line in block.replace("\\\n", " ").splitlines():
             command, _, comment = line.partition("#")
-            if not command.startswith("synchro run ") or "--file" in command:
-                continue
-            length = re.fullmatch(r"\s*length (\d+)\s*", comment)
-            commands.append(
-                (shlex.split(command)[1:], int(length[1]) if length else None)
-            )
+            if command.startswith(f"synchro {subcommand} "):
+                commands.append((command, comment))
+    return commands
+
+
+def _readme_run_lines():
+    """The `synchro run` commands of README's fenced blocks, `\\` continuations
+    joined, as (argv after "synchro", expected length or None)."""
+    commands = []
+    for command, comment in _readme_commands("run"):
+        if "--file" in command:
+            continue
+        length = re.fullmatch(r"\s*length (\d+)\s*", comment)
+        commands.append((shlex.split(command)[1:], int(length[1]) if length else None))
     return commands
 
 
@@ -351,6 +364,40 @@ def test_readme_run_examples_run(capsys):
         assert code == EXIT_OK, (argv, err)
         if length is not None:
             assert f"length: {length}\n" in out, argv
+
+
+def test_readme_states_the_cli_contract(capsys, monkeypatch, tmp_path):
+    """README's CSV header, exit codes, tag grammar and bench example agree
+    with the code that defines them."""
+    text = README.read_text()
+    assert re.findall(r"^```csv\n(.*)\n```$", text, re.M) == [",".join(CSV_COLUMNS)]
+
+    sentence = re.search(r"^Exit codes: (.*?)\.\s", text, re.M | re.S)[1]
+    stated = dict(item.split(" ", 1) for item in " ".join(sentence.split()).split(", "))
+    assert stated == {
+        str(EXIT_OK): "found",
+        str(EXIT_ERROR): "error",
+        str(EXIT_NOT_FOUND): "no word within `--maxlen`",
+        str(EXIT_NOT_SYNCHRONIZING): "not synchronizing",
+    }
+
+    grammar = dict(re.findall(r"^(TAG|CAP) := (.*)$", text, re.M))
+    caps = grammar["CAP"].split(" | ")
+    assert sorted(caps) == sorted([*NAMED_CAPS, "INT"])
+    for tag in grammar["TAG"].split(" | "):
+        for cap in caps:
+            parse_algorithm(tag.replace("CAP", "1" if cap == "INT" else cap))
+
+    # each bench example parses and its options make a config; no trial runs
+    configs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: configs.append(cfg) or [])
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands("bench")
+    assert commands
+    for command, _ in commands:
+        code, _, err = run_cli(capsys, *shlex.split(command)[1:])
+        assert code == EXIT_OK, (command, err)
+    assert len(configs) == len(commands)
 
 
 def run_cli_process(argv, stdout, preexec_fn=None):

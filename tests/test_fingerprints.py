@@ -116,6 +116,33 @@ def test_eppstein_digest_is_unchanged():
     assert _digest(eppstein_fingerprints()) == EXPECTED_EPPSTEIN
 
 
+# perfbench's seed-0 digest of each benchmark workload
+PERFBENCH_DIGESTS = {
+    "random-wide": "dc6fefe5575465ac5a9f6d15d6f3090b8a7be59cdc0abe9a0eaa5281097f782b",
+    "cerny-deep": "a0366ba60dd8e68ea7306de33b94c1de0f567dd701d1bfff71badf1343d81ef5",
+    "random-large": "8b08d678410e5ace8fa3518fe09059c055483312aa8a2d7bb56eb106275da81d",
+    "cerny-greedy": "a2352be0ea82cc4f458b5c5b7d3d60b1f368e8ea4f22e7489425ffe21cca9f1e",
+}
+
+
+def test_benchmark_workload_digests_are_unchanged(cerny300_greedy):
+    """The words of perfbench's four workloads at seed 0, pinned by the
+    digests perfbench/run.py prints: the SHA-256 of each workload's
+    fingerprints joined by newlines. The inputs are built as its
+    ``build_inputs`` builds them at seed 0. A change that moves a word
+    re-pins these digests in the same change."""
+    wide = [random_automaton(100, 2, i) for i in range(72)]
+    large = [random_automaton(1000, 2, i) for i in range(10)]
+    runs = {
+        "random-wide": [lambda a=a: synchronize(a, a.n) for a in wide],
+        "cerny-deep": [lambda n=n: synchronize(cerny(n), n) for n in range(2, 31)],
+        "random-large": [lambda a=a: synchronize(a, log_cap(a.n)) for a in large],
+        "cerny-greedy": [lambda: cerny300_greedy],
+    }
+    digests = {name: _digest(map(_outcome, calls)) for name, calls in runs.items()}
+    assert digests == PERFBENCH_DIGESTS
+
+
 @given(st.lists(st.integers(-1000, 1000)), st.sampled_from([",", " "]))
 @example([], ",")
 @example(list(range(1001)), " ")
