@@ -13,6 +13,16 @@ from .results import InstanceTooLarge, NotSynchronizing, SearchResult
 # it explores can have 2^n subsets.
 EXACT_MAX_STATES = 20
 
+# The greedy remembers where in its word the table letters of a pair start,
+# for the pairs whose distance is a multiple of this stride. A labelled pair's
+# distance and letter never change, so neither does its chain of table
+# letters down to the diagonal: the dist[pair] letters from the stored
+# position are exactly that pair's, and a later walk that meets the pair
+# copies them. A walk reads fewer than _TAIL_STRIDE letters before it meets
+# a stored pair or stores one, and a chain shorter than that stores nothing;
+# storing every pair would cost a dict entry per letter read.
+_TAIL_STRIDE = 64
+
 Columns = tuple[tuple[int, ...], ...]  # Automaton._cols: [x][p] is p's successor
 
 
@@ -212,10 +222,17 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
     most about the work of expanding the table's last level
     (:func:`_merge_ahead`); failing that, the table grows to the first level
     that holds a pair of members. Either way the rest of the word is the
-    table's letters. All three give the lexicographically smallest pair at
-    the least distance, so the words are those of a greedy that reads a
-    fully built table; the table grows only when no other way finds a pair,
-    which on random automata leaves its widest levels unbuilt."""
+    table's letters along the pair's chain of labellers. All three give the
+    lexicographically smallest pair at the least distance, so the words are
+    those of a greedy that reads a fully built table; the table grows only
+    when no other way finds a pair, which on random automata leaves its
+    widest levels unbuilt.
+
+    A chain that meets a pair an earlier merge already read copies that
+    pair's letters from the word instead of reading them again. The copy is
+    exact: a labelled pair's letter and distance never change, so neither
+    does its chain, and the position stored for a pair (one in every
+    ``_TAIL_STRIDE`` along a chain) starts exactly its table letters."""
     n = a.n
     table = build_pair_table(a)
     dist = table.dist
@@ -224,6 +241,8 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
     starts = table.starts
     cols = a._cols  # cols[x][p] is the successor of p under x
     blocks: dict[tuple[int, ...], list[int]] = {}
+    stride = _TAIL_STRIDE
+    tail: dict[int, int] = {}  # pair index -> where its table letters start
     members = list(range(n))
     word: list[int] = []
     while len(members) > 1:
@@ -269,11 +288,20 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
                 if best < 0:
                     raise NotSynchronizing("some state pair has no merging word")
         p, q = divmod(best, n)
+        d = dist[best]
         while p != q:
-            x = letter_of[p * n + q if p < q else q * n + p]
+            j = p * n + q if p < q else q * n + p
+            if not d % stride:
+                pos = tail.get(j)
+                if pos is not None:
+                    word += word[pos : pos + d]
+                    break
+                tail[j] = len(word)
+            x = letter_of[j]
             word.append(x)
             p = cols[x][p]
             q = cols[x][q]
+            d -= 1
         members = sorted(set(_apply_word(cols, word[start:], members, blocks)))
     return SearchResult(len(word), tuple(word), "eppstein")
 

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -315,6 +316,23 @@ class TestEppsteinGreedy:
     def test_deterministic(self):
         a = random_automaton(40, 2, seed=5)
         assert eppstein_greedy(a).word == eppstein_greedy(a).word
+
+    def test_heap_stays_near_word_and_table_bytes(self):
+        # Only one pair in every _TAIL_STRIDE along a chain remembers where
+        # its letters start in the word; remembering every pair read took
+        # the peak to 1.8x.
+        a = cerny(300)
+        tracemalloc.start()
+        try:
+            word = eppstein_greedy(a).word
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        t = build_pair_table(a)
+        t.grow(bytes(a.n))  # no flagged pair: grow in full
+        table_bytes = sum(memoryview(x).nbytes for x in (t.dist, t.letter, t.order))
+        word_bytes = sys.getsizeof(list(word)) + sys.getsizeof(word)
+        assert peak < 1.25 * (word_bytes + table_bytes)
 
 
 class TestExactShortest:

@@ -6,6 +6,7 @@ word on four families), checked against the exact oracle, the brute-force
 oracles and the automaton's own transition table."""
 
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +25,7 @@ from synchro import (
     start_set,
     synchronize,
 )
+from synchro import baselines
 from synchro.automaton import START_MODES
 from synchro.baselines import PairTable
 from synchro.bench import solve
@@ -138,16 +140,36 @@ def test_indegree_permutation_matches_brute_relabel(a):
     assert indegree_permutation(a)[0] == brute_indegree_relabel(a)
 
 
+def _check_eppstein_against_eager_oracle(a, stride):
+    """The greedy's word for ``a``, with every ``stride``-th pair of a chain
+    remembered, is the eager oracle's, or both find ``a`` not
+    synchronizing. Each merge word must shrink the member set, so a wrong
+    word fails at once instead of being merged again without end."""
+
+    def shrinking(cols, word, states, blocks):
+        image = apply_word(cols, word, states, blocks)
+        assert len(set(image)) < len(states), "a merge word merged no pair"
+        return image
+
+    apply_word = baselines._apply_word
+    with (patch.object(baselines, "_TAIL_STRIDE", stride),
+          patch.object(baselines, "_apply_word", shrinking)):
+        try:
+            expected = eager_eppstein(a)
+        except NotSynchronizing:
+            with pytest.raises(NotSynchronizing):
+                eppstein_greedy(a)
+            return
+        assert eppstein_greedy(a).word == expected
+
+
+# Strides 1 and 2 make the short chains of small automata join remembered
+# ones part-way, which the default stride leaves to long chains.
+@pytest.mark.parametrize("stride", [baselines._TAIL_STRIDE, 1, 2])
 @examples
 @given(automata(max_n=12))
-def test_eppstein_word_matches_eager_oracle(a):
-    try:
-        expected = eager_eppstein(a)
-    except NotSynchronizing:
-        with pytest.raises(NotSynchronizing):
-            eppstein_greedy(a)
-        return
-    assert eppstein_greedy(a).word == expected
+def test_eppstein_word_matches_eager_oracle(stride, a):
+    _check_eppstein_against_eager_oracle(a, stride)
 
 
 @examples
@@ -231,16 +253,11 @@ def greedy_automata(draw):
     return Automaton(list(zip(*cols)))
 
 
+@pytest.mark.parametrize("stride", [baselines._TAIL_STRIDE, 1, 2])
 @examples
 @given(greedy_automata())
-def test_eppstein_word_matches_eager_oracle_on_families(a):
-    try:
-        expected = eager_eppstein(a)
-    except NotSynchronizing:
-        with pytest.raises(NotSynchronizing):
-            eppstein_greedy(a)
-        return
-    assert eppstein_greedy(a).word == expected
+def test_eppstein_word_matches_eager_oracle_on_families(stride, a):
+    _check_eppstein_against_eager_oracle(a, stride)
 
 
 @examples
