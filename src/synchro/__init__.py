@@ -13,7 +13,7 @@ from .automaton import (
     serialize_automaton,
     start_set,
 )
-from .baselines import PairTable, build_pair_table, eppstein_greedy, exact_shortest
+from .baselines import eppstein_greedy, exact_shortest
 from .results import InstanceTooLarge, NotSynchronizing, SearchResult
 from .search import (
     UNBOUNDED,
@@ -21,7 +21,6 @@ from .search import (
     log_cap,
     synchronize,
 )
-from .settrie import SetTrie
 
 __all__ = [
     "Automaton",
@@ -33,8 +32,6 @@ __all__ = [
     "random_automaton",
     "serialize_automaton",
     "start_set",
-    "PairTable",
-    "build_pair_table",
     "eppstein_greedy",
     "exact_shortest",
     "InstanceTooLarge",
@@ -44,7 +41,6 @@ __all__ = [
     "cutoff_ibfs",
     "log_cap",
     "synchronize",
-    "SetTrie",
 ]
 
 __version__ = "0.1.0"

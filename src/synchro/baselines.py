@@ -260,10 +260,6 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
                     if 0 <= d < best_d:
                         best_d = d
                         best = base + members[j]
-                        if d == 1:
-                            break
-                if best_d == 1:
-                    break
         else:
             for i in order[n:]:
                 if inside[i // n] and inside[i % n]:

@@ -17,9 +17,9 @@ position through the kept positions of earlier levels.
 A level's kept sets fix every later level, so a frontier equal to the one
 kept at the last power-of-two level (Brent's method) means a cycle, and the
 search stops there; so it ends on an automaton with no reset word without
-walking up to ``maxlen``. Each level hands the preimages of the sets it expanded to the
-next; a preimage depends only on the mask and the letter, so this reuse
-changes no word and no frontier size.
+walking up to ``maxlen``. Each level hands the preimages of the sets it
+expanded to the next; a preimage depends only on the mask and the letter, so
+this reuse changes no word and no frontier size.
 """
 
 from __future__ import annotations
@@ -190,11 +190,3 @@ def synchronize(
     )
     return bound if result is None else result
 
-
-__all__ = [
-    "UNBOUNDED",
-    "log_cap",
-    "cutoff_ibfs",
-    "synchronize",
-    "NotSynchronizing",
-]

@@ -1,13 +1,23 @@
 """The public names: every export resolves, so a stale entry in
-``synchro.__all__`` fails here rather than in a user's import, and every
-entry point that the benchmark's tracer hooks still exists. The package
-imports nothing beyond the standard library."""
+``synchro.__all__`` fails here rather than in a user's import; every export
+is named in README's API section and every function listed there is
+exported; and every entry point that the benchmark's tracer hooks still
+exists. The package imports nothing beyond the standard library."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import synchro
+import synchro.bench
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _api_section():
+    """README's ``## API`` section, up to the next ``##`` heading."""
+    return re.search(r"^## API\n(.*?)^## ", README.read_text(), re.S | re.M)[1]
 
 
 def test_every_exported_name_resolves():
@@ -23,6 +33,24 @@ def test_star_import():
 
 def test_no_duplicate_exports():
     assert len(synchro.__all__) == len(set(synchro.__all__))
+
+
+def test_every_export_is_documented():
+    # a name counts as documented once it appears in the section's code
+    section = _api_section()
+    named = {
+        word
+        for span in re.findall(r"`+([^`]+)`+", section)
+        for word in re.findall(r"[A-Za-z_]\w*", span)
+    }
+    assert [name for name in synchro.__all__ if name not in named] == []
+
+
+def test_every_documented_function_is_exported():
+    block = re.search(r"^```python\n(.*?)^```", _api_section(), re.S | re.M)[1]
+    functions = re.findall(r"^(\w+)\(", block, re.M)
+    assert "solve" in functions and callable(synchro.bench.solve)
+    assert [f for f in functions if f != "solve" and f not in synchro.__all__] == []
 
 
 def test_package_imports_only_the_standard_library():

@@ -9,14 +9,13 @@ from synchro import (
     Automaton,
     InstanceTooLarge,
     NotSynchronizing,
-    build_pair_table,
     cerny,
     eppstein_greedy,
     exact_shortest,
     random_automaton,
     synchronize,
 )
-from synchro.baselines import PairTable, _merge_ahead
+from synchro.baselines import PairTable, _merge_ahead, build_pair_table
 from synchro.bench import solve
 from conftest import brute_pair_merge_distance, eager_eppstein, no_shorter_reset_word
 

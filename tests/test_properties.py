@@ -6,6 +6,9 @@ word on four families), checked against the exact oracle, the brute-force
 oracles and the automaton's own transition table."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -288,3 +291,32 @@ def test_solve_respects_maxlen(a, maxlen, tag):
         assert a.is_synchronizing_word(res.word)
     if tag == "exact":
         assert (res is None) == (_exact_length(a) > maxlen)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_does_not_stop_the_session(tmp_path):
+    # reporting a failing example imports hypothesis.extra._patching, which
+    # imports libcst where it is installed; the suite's warning filters must
+    # let that import through, so a failure ends one test, not the session
+    (tmp_path / "test_inner.py").write_text(FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(config), str(tmp_path / "test_inner.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout

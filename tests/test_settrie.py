@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from synchro import SetTrie, cerny, cutoff_ibfs
+from synchro import cerny, cutoff_ibfs
+from synchro.settrie import SetTrie
 
 
 def mask(members):
