@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from functools import reduce
+from itertools import islice, repeat
 from operator import getitem, index, or_
 from typing import Iterable, Sequence
 
@@ -31,10 +32,12 @@ def _bit_members(bits: int) -> list[int]:
 def _byte_tables(masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """One 256-entry table per byte of a state mask: entry ``b`` of table
     ``j`` is the OR of ``masks[8*j + i]`` over the bits ``i`` set in ``b``.
-    A short last byte is padded with zero masks. Equal entries share one int
-    where the OR would only copy it: ``0 | x`` is ``x``, and with ``x == 0``
-    the new half repeats ``t``. The tables then take memory only for their
-    distinct unions."""
+    A short last byte is padded with zero masks. Entries share an int only
+    where no OR is taken: a one-bit entry is the mask itself, and a zero mask
+    makes the upper half repeat the lower half's ints. Every other entry is a
+    new int, even one equal to an earlier entry: ``v | x`` with ``v == 0``
+    from a doubled half is a new int equal to ``x``. So equal unions are not
+    stored once."""
     tables = []
     for j in range(0, len(masks), 8):
         t = [0]
@@ -125,24 +128,32 @@ class Automaton:
 
     __slots__ = ("n", "k", "rows", "_cols", "_inv_bits", "_pre_tables")
 
-    def __init__(self, rows: Sequence[Sequence[int]]):
+    def __init__(self, rows: Iterable[Iterable[int]]):
         rows = tuple(tuple(map(index, row)) for row in rows)
         if not rows or not rows[0]:
             raise ValueError("automaton needs at least one state and one letter")
         n = len(rows)
         k = len(rows[0])
-        for q, row in enumerate(rows):
-            if len(row) != k:
-                raise ValueError(f"row {q} has {len(row)} entries, expected {k}")
-            for a, p in enumerate(row):
-                if not 0 <= p < n:
-                    raise ValueError(
-                        f"transition delta({q}, {a}) = {p} out of range [0, {n})"
-                    )
+        cols = tuple(zip(*rows))
+        # The row lengths come first: zip cuts ragged rows to the shortest.
+        # Only a bad table walks its rows, to name its first fault.
+        if (
+            set(map(len, rows)) != {k}
+            or min(map(min, cols)) < 0
+            or max(map(max, cols)) >= n
+        ):
+            for q, row in enumerate(rows):
+                if len(row) != k:
+                    raise ValueError(f"row {q} has {len(row)} entries, expected {k}")
+                for a, p in enumerate(row):
+                    if not 0 <= p < n:
+                        raise ValueError(
+                            f"transition delta({q}, {a}) = {p} out of range [0, {n})"
+                        )
         self.n = n
         self.k = k
         self.rows = rows
-        self._cols = tuple(tuple(row[a] for row in rows) for a in range(k))
+        self._cols = cols
         self._inv_bits = None
         self._pre_tables = None
 
@@ -247,15 +258,18 @@ def cerny(n: int) -> Automaton:
 
 
 def random_automaton(n: int, k: int, seed: int) -> Automaton:
-    """Uniformly random labeled automaton: every transition drawn independently
-    and uniformly from [0, n) using a Mersenne Twister seeded with ``seed``.
-    Draws are row-major (state, then letter), so identical (n, k, seed) give
-    identical tables."""
+    """Uniformly random labeled automaton: row by row (state, then letter),
+    each entry is what ``random.Random(seed).randrange(n)`` would draw next,
+    so identical (n, k, seed) give identical tables.
+
+    ``randrange(n)`` draws ``getrandbits(n.bit_length())`` until the value is
+    below n, so its values are those of the stream of such draws that are
+    below n; the stream is filtered in C rather than called per entry."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    rng = random.Random(seed)
-    rows = [[rng.randrange(n) for _ in range(k)] for _ in range(n)]
-    return Automaton(rows)
+    draw = random.Random(seed).getrandbits
+    below_n = filter(n.__gt__, map(draw, repeat(n.bit_length())))
+    return Automaton(zip(*[islice(below_n, n * k)] * k))
 
 
 def _closure(nbrs: Sequence[int], root: int, seen: int = 0) -> int:

@@ -208,7 +208,8 @@ def _table_word(
 def eppstein_greedy(a: Automaton) -> SearchResult:
     """Greedy pair merging: repeatedly merge the pair of current states with
     the shortest merging word (ties: lexicographically smallest pair) until a
-    single state remains. Raises NotSynchronizing if some pair never merges.
+    single state remains. Raises NotSynchronizing if some pair never merges,
+    and RuntimeError if a merge word merges no pair, which is a bug.
 
     Each merge picks its pair one of three exact ways. If the table has
     labelled a pair of members, then with m members it scans all m(m-1)/2
@@ -299,6 +300,9 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
             q = cols[x][q]
             d -= 1
         members = sorted(set(_apply_word(cols, word[start:], members, blocks)))
+        if len(members) >= m:
+            # a wrong merge word would have the same pair merged again forever
+            raise RuntimeError("a merge word merged no pair of states")
     return SearchResult(len(word), tuple(word), "eppstein")
 
 

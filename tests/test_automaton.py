@@ -34,6 +34,24 @@ class TestAutomatonConstruction:
             with pytest.raises(ValueError, match="need n >= 1 and k >= 1"):
                 random_automaton(n, k, 0)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0, 5], [0]], "transition delta(0, 1) = 5 out of range [0, 2)"),
+            ([[0, 0], [0], [9, 0]], "row 1 has 1 entries, expected 2"),
+            ([[0], []], "row 1 has 0 entries, expected 1"),
+            ([[0, 1], [-1, 0]], "transition delta(1, 0) = -1 out of range [0, 2)"),
+            ([[0, 1], [1, 2]], "transition delta(1, 1) = 2 out of range [0, 2)"),
+        ],
+        ids=["range-before-ragged", "ragged-before-range", "empty-row", "negative",
+             "too-large"],
+    )
+    def test_names_the_first_fault(self, rows, message):
+        # rows in order, and within a row its entries in order
+        with pytest.raises(ValueError) as fault:
+            Automaton(rows)
+        assert str(fault.value) == message
+
     @pytest.mark.parametrize("entry", [1.9, "1"], ids=["float", "str"])
     def test_rejects_non_integer_entries(self, entry):
         # int() would truncate 1.9 to state 1 and parse "1"; a state is an int
@@ -320,6 +338,21 @@ class TestRandomAutomaton:
     def test_single_state(self):
         a = random_automaton(1, 4, 123)
         assert all(a.delta(0, letter) == 0 for letter in range(4))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 255, 256, 257, 1000])
+    def test_draws_are_randrange_row_by_row(self, n):
+        # powers of two make randrange redraw about half the time
+        for k in (1, 2, 3):
+            for seed in (0, 1, 2):
+                rng = random.Random(seed)
+                expected = tuple(
+                    tuple(rng.randrange(n) for _ in range(k)) for _ in range(n)
+                )
+                a = random_automaton(n, k, seed)
+                assert a.rows == expected
+                assert all(
+                    a._cols[x][q] == a.rows[q][x] for q in range(n) for x in range(k)
+                )
 
     def test_uniformity_chi_squared(self):
         # delta(0, 0) over 10,000 seeds, n=5: chi2 critical value for

@@ -15,6 +15,7 @@ from synchro import (
     random_automaton,
     synchronize,
 )
+from synchro import baselines
 from synchro.baselines import PairTable, _merge_ahead, build_pair_table
 from synchro.bench import solve
 from conftest import brute_pair_merge_distance, eager_eppstein, no_shorter_reset_word
@@ -315,6 +316,24 @@ class TestEppsteinGreedy:
     def test_deterministic(self):
         a = random_automaton(40, 2, seed=5)
         assert eppstein_greedy(a).word == eppstein_greedy(a).word
+
+    def test_a_merge_word_that_merges_nothing_raises(self, monkeypatch):
+        # The first merge word is applied as if it left every state in
+        # place; without the check the greedy would pick the same pair again
+        # and, on a wrong table, repeat that merge forever.
+        real = baselines._apply_word
+        calls = []
+
+        def first_call_merges_nothing(cols, word, states, blocks):
+            calls.append(word)
+            if len(calls) == 1:
+                return list(states)
+            return real(cols, word, states, blocks)
+
+        monkeypatch.setattr(baselines, "_apply_word", first_call_merges_nothing)
+        with pytest.raises(RuntimeError, match="merged no pair"):
+            eppstein_greedy(cerny(5))
+        assert len(calls) == 1
 
     def test_heap_stays_near_word_and_table_bytes(self):
         # Only one pair in every _TAIL_STRIDE along a chain remembers where
