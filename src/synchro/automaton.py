@@ -2,17 +2,20 @@
 
 States are 0..n-1 and letters are 0..k-1. A set of states is an int bit
 mask everywhere, bit q standing for state q: :meth:`Automaton.image` and
-:meth:`Automaton.preimage` are the checked forms of the unchecked kernels
-``image_bits`` and ``preimage_bits``. An automaton is immutable after
-construction; the inverse transition table and the per-byte preimage tables
-are each built once on first use and only read afterwards.
+:meth:`Automaton.preimage` are the checked one-letter forms of the unchecked
+kernels ``image_bits`` and ``preimage_bits``. ``preimage_bits`` returns a
+set's preimages under all k letters, in letter order, from one lookup per
+byte of the mask: its per-byte tables pack the k letters into one int. An
+automaton is immutable after construction; the inverse transition table and
+the per-byte preimage tables are each built once on first use and only read
+afterwards.
 """
 
 from __future__ import annotations
 
 import random
 from functools import reduce
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import getitem, index, or_
 from typing import Iterable, Sequence
 
@@ -32,18 +35,24 @@ def _bit_members(bits: int) -> list[int]:
 def _byte_tables(masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """One 256-entry table per byte of a state mask: entry ``b`` of table
     ``j`` is the OR of ``masks[8*j + i]`` over the bits ``i`` set in ``b``.
-    A short last byte is padded with zero masks. Entries share an int only
-    where no OR is taken: a one-bit entry is the mask itself, and a zero mask
-    makes the upper half repeat the lower half's ints. Every other entry is a
-    new int, even one equal to an earlier entry: ``v | x`` with ``v == 0``
-    from a doubled half is a new int equal to ``x``. So equal unions are not
-    stored once."""
+    A short last byte is padded with zero masks. Each distinct union is
+    ORed once and stored as one int: ``unions`` doubles with each nonzero
+    mask, and ``pos`` maps each entry to its union, doubling with the same
+    positions for a zero mask. Disjoint nonzero masks, as preimage masks
+    are, give a distinct union for each subset."""
+    masks = [*masks, *[0] * (-len(masks) % 8)]
     tables = []
     for j in range(0, len(masks), 8):
-        t = [0]
+        unions = [0]
+        pos = [0]
         for x in masks[j : j + 8]:
-            t += [x, *[v | x for v in t[1:]]] if x else t
-        tables.append(tuple(t + [0] * (256 - len(t))))
+            if x:
+                size = len(unions)
+                pos += [p + size for p in pos]
+                unions += [v | x for v in unions]
+            else:
+                pos += pos
+        tables.append(tuple(map(unions.__getitem__, pos)))
     return tuple(tables)
 
 
@@ -129,7 +138,10 @@ class Automaton:
     __slots__ = ("n", "k", "rows", "_cols", "_inv_bits", "_pre_tables")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rows = tuple(tuple(map(index, row)) for row in rows)
+        rows = tuple(map(tuple, rows))
+        # an int is its own index(); other integer types become ints
+        if set(map(type, chain.from_iterable(rows))) != {int}:
+            rows = tuple(tuple(map(index, row)) for row in rows)
         if not rows or not rows[0]:
             raise ValueError("automaton needs at least one state and one letter")
         n = len(rows)
@@ -186,19 +198,23 @@ class Automaton:
         col = self._cols[a]
         return reduce(or_, [1 << col[q] for q in _bit_members(bits)], 0)
 
-    def preimage_bits(self, bits: int, a: int) -> int:
-        # Preimage distributes over union, so combine one table entry per
-        # byte of the mask. Every state has one successor, so the entries
-        # for different bytes are disjoint and their sum is their union.
-        # The tables are built on the first call, not with the inverse.
-        # Idempotent like _inverse().
+    def preimage_bits(self, bits: int) -> list[int]:
+        # Preimage distributes over union, so sum one table entry per byte
+        # of the mask. An entry packs the k letters' preimages, letter x's
+        # from bit x*n, so one lookup per byte serves every letter; each
+        # state has one successor per letter, so the entries are disjoint
+        # and the sum carries nothing. The tables are built on the first
+        # call, not with the inverse. Idempotent like _inverse().
         tables = self._pre_tables
+        n = self.n
         if tables is None:
-            tables = tuple(_byte_tables(masks) for masks in self._inverse())
-            self._pre_tables = tables
-        per_byte = tables[a]
-        chunks = bits.to_bytes(len(per_byte), "little")
-        return sum(map(getitem, per_byte, chunks))
+            packed = [0] * n
+            for x, masks in enumerate(self._inverse()):
+                packed = [p | m << x * n for p, m in zip(packed, masks)]
+            tables = self._pre_tables = _byte_tables(packed)
+        pre = sum(map(getitem, tables, bits.to_bytes(len(tables), "little")))
+        full = self.full_bits
+        return [pre >> shift & full for shift in range(0, self.k * n, n)]
 
     def _check_bits(self, bits: int) -> None:
         if bits < 0 or bits >> self.n:
@@ -218,7 +234,7 @@ class Automaton:
         """{ q : delta(q, a) in bits }"""
         self._check_bits(bits)
         self._check_letter(a)
-        return self.preimage_bits(bits, a)
+        return self.preimage_bits(bits)[a]
 
     def is_synchronizing_word(self, word: Sequence[int]) -> bool:
         """True iff applying ``word`` to the full state set yields a singleton.

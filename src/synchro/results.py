@@ -32,9 +32,10 @@ class SearchResult:
     ``frontier_sizes[l]`` is the frontier size after trimming at level ``l``
     (index 0 = start singletons); empty for searches without a frontier.
     ``level_ops`` counts, per level, the preimage table lookups made plus one
-    per dedup probe, for complexity checks: ceil(n/8) lookups per preimage
-    taken from the tables, none for a preimage reused from the level before,
-    and one at level 1 (``level_ops[0]``), whose singleton preimages are read
+    per dedup probe, for complexity checks: ceil(n/8) lookups per set whose
+    k preimages are taken from the tables, whatever k is, none for a set
+    whose preimages are reused from the level before, and one per preimage
+    at level 1 (``level_ops[0]``), whose singleton preimages are read
     straight from the inverse table.
 
     ``level_probes`` counts, per level, the dedup probes: the nonempty

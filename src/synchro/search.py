@@ -17,9 +17,10 @@ position through the kept positions of earlier levels.
 A level's kept sets fix every later level, so a frontier equal to the one
 kept at the last power-of-two level (Brent's method) means a cycle, and the
 search stops there; so it ends on an automaton with no reset word without
-walking up to ``maxlen``. Each level hands the preimages of the sets it
-expanded to the next; a preimage depends only on the mask and the letter, so
-this reuse changes no word and no frontier size.
+walking up to ``maxlen``. A set's k preimages come from one kernel call,
+one table lookup per byte of its mask serving every letter. Each level hands
+the preimages of the sets it expanded to the next; a preimage depends only on
+the mask and the letter, so this reuse changes no word and no frontier size.
 """
 
 from __future__ import annotations
@@ -82,8 +83,7 @@ def cutoff_ibfs(
     pi = _indegree_order(a) if permute_by_indegree else range(n)
     r = _relabel(a, [n - 1 - p for p in pi])
     full = r.full_bits
-    nbytes = (n + 7) // 8  # table lookups per preimage_bits call
-    letters = range(k)
+    nbytes = (n + 7) // 8  # table lookups per preimage_bits call, any k
     frontier = sorted((1 << q for q in start_set(r, start_mode)), reverse=True)
     start_count = len(frontier)
     level_ops: list[int] = []
@@ -96,7 +96,7 @@ def cutoff_ibfs(
     # are the word in order.
     links: list[list[int]] = []
     # Level 0 holds singletons, and the preimage of {q} under x is the
-    # inverse mask inv[x][q]: one lookup in place of nbytes.
+    # inverse mask inv[x][q]: k lookups in place of the tables' nbytes.
     inv = r._inverse()
     preimage = r.preimage_bits
     # Brent cycle check: a level's mask list (canonical, as take_largest
@@ -124,8 +124,8 @@ def cutoff_ibfs(
             else:
                 pres = known.get(sbits)
                 if pres is None:
-                    pres = [preimage(sbits, x) for x in letters]
-                    lookups += k * nbytes
+                    pres = preimage(sbits)
+                    lookups += nbytes
                 expanded[sbits] = pres
             flat += pres
             if full in pres:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st, target
@@ -57,6 +58,25 @@ class TestAutomatonConstruction:
         # int() would truncate 1.9 to state 1 and parse "1"; a state is an int
         with pytest.raises(TypeError):
             Automaton([[entry, 0], [0, 1]])
+
+    def test_integer_entries_become_ints(self):
+        # an exact int is kept as it is; anything else goes through index(),
+        # which refuses a float (test_rejects_non_integer_entries)
+        class Sub(int):
+            pass
+
+        class Index:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        plain = Automaton([[0, 1], [1, 1]])
+        for make in (bool, Sub, Index):
+            a = Automaton([[make(0), make(1)], [make(1), make(1)]])
+            assert a == plain
+            assert {type(p) for row in a.rows for p in row} == {int}
 
     def test_inverse_is_exact_relational_inverse(self):
         a = random_automaton(9, 3, seed=5)
@@ -140,7 +160,8 @@ class TestImagePreimage:
 def automaton_and_masks(draw):
     # state counts on both sides of byte and machine-word boundaries
     n = draw(st.sampled_from([1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 100, 130]))
-    k = draw(st.sampled_from([1, 2, 3]))
+    # k=9 packs the letters' preimages into an int many machine words wide
+    k = draw(st.sampled_from([1, 2, 3, 9]))
     rows = draw(
         st.lists(
             st.lists(st.integers(0, n - 1), min_size=k, max_size=k),
@@ -160,12 +181,32 @@ def test_preimage_kernel_matches_member_walk(case, inverse_first):
     a, masks = case
     if inverse_first:
         a.build_inverse()  # else the first preimage_bits call builds both
-    for letter in range(a.k):
-        for bits in masks:
-            members = [q for q in range(a.n) if bits >> q & 1]
-            expect = sum(1 << q for q in brute_preimage(a, members, letter))
-            assert a.preimage_bits(bits, letter) == expect
-            assert a.preimage(bits, letter) == expect
+    for bits in masks:
+        members = [q for q in range(a.n) if bits >> q & 1]
+        expect = [
+            sum(1 << q for q in brute_preimage(a, members, letter))
+            for letter in range(a.k)
+        ]
+        assert a.preimage_bits(bits) == expect
+        for letter in range(a.k):
+            assert a.preimage(bits, letter) == expect[letter]
+
+
+def test_packed_tables_store_each_union_once():
+    # the k letters share one table per byte; a union of preimage masks is
+    # one int however many entries read it, which keeps the tables below
+    # the 5.69 MB that separate per-letter tables held at this size
+    a = random_automaton(1000, 2, 0)
+    a.build_inverse()
+    tracemalloc.start()
+    try:
+        a.preimage_bits(0)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size < 5.69e6
+    for t in a._pre_tables:
+        assert len({id(v) for v in t}) == len(set(t))
 
 
 class TestSynchronizingWord:

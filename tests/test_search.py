@@ -209,18 +209,19 @@ class TestCutoffIbfs:
 
     def test_class_hook_sees_every_table_preimage(self, monkeypatch):
         # A wrapper patched onto the class, as the benchmark's tracer does,
-        # sees each preimage the search takes from the tables. Level 1 reads
-        # the inverse masks and keeps nothing, so level 2 takes k preimages
-        # of every set it expands; each later level takes k of every set the
-        # level before did not expand, and reads the others' from there.
+        # sees each set whose k preimages the search takes from the tables,
+        # one call per set. Level 1 reads the inverse masks and keeps
+        # nothing, so level 2 calls it on every set it expands; each later
+        # level on every set the level before did not expand, and reads the
+        # others' preimages from there.
         calls = []
         frontiers = []  # the cut of each level, the next level's input
         marks = []  # len(calls) at each cut
         pre, take = Automaton.preimage_bits, SetTrie.take_largest
 
-        def counting(self, bits, a):
-            calls.append((self, bits, a))
-            return pre(self, bits, a)
+        def counting(self, bits):
+            calls.append((self, bits))
+            return pre(self, bits)
 
         def recording(self, c):
             taken = take(self, c)
@@ -235,41 +236,42 @@ class TestCutoffIbfs:
         frontiers.clear()
         marks.clear()
         res = synchronize(cerny(8), 8)
-        k, length = 2, res.length
+        length = res.length
         assert length == 49
         assert [len(f) for f in frontiers] == res.frontier_sizes[1:]
         assert marks[0] == 0  # level 1 takes no table preimage
         # every call is on the search's own mirrored copy
-        (r,) = {auto for auto, _, _ in calls}
+        (r,) = {auto for auto, _ in calls}
         # the goal level stops after the first set with a full preimage
         last = frontiers[-1]
         stop = next(
             i for i, bits in enumerate(last)
-            if any(pre(r, bits, x) == r.full_bits for x in range(k))
+            if r.full_bits in pre(r, bits)
         )
         expanded = frontiers[:-1] + [last[: stop + 1]]
         ends = marks + [len(calls)]
         seen_before = set()
         for i, sets in enumerate(expanded):  # level i + 2
             before = set(expanded[i - 1]) if i else set()
-            got = [(bits, a) for _, bits, a in calls[ends[i] : ends[i + 1]]]
-            assert got == [(b, x) for b in sets if b not in before for x in range(k)]
+            got = [bits for _, bits in calls[ends[i] : ends[i + 1]]]
+            assert got == [b for b in sets if b not in before]
             assert seen_before.isdisjoint(got)
             seen_before = set(got)
-        assert len(calls) < k * sum(map(len, expanded)) // 4
+        assert len(calls) < sum(map(len, expanded)) // 4
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("cap", [3, 8, UNBOUNDED], ids=["cap-3", "cap-8", "unbounded"])
     def test_level_ops_count_the_lookups_made(self, monkeypatch, seed, cap):
-        # from level 2 on, ceil(n/8) per table preimage, none for one read
-        # from the level before, and one per dedup probe, which the oracle
-        # counts on member sets; level 1 makes one lookup per preimage
+        # from level 2 on, ceil(n/8) per set whose k preimages come from the
+        # tables, none for a set read from the level before, and one per
+        # dedup probe, which the oracle counts on member sets; level 1 makes
+        # one lookup per preimage
         calls = []
         pre = Automaton.preimage_bits
 
-        def counting(self, bits, a):
+        def counting(self, bits):
             calls.append(bits)
-            return pre(self, bits, a)
+            return pre(self, bits)
 
         monkeypatch.setattr(Automaton, "preimage_bits", counting)
         a = random_automaton(40, 2, seed)
