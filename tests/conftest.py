@@ -1,25 +1,15 @@
 """Shared brute-force oracles, kept independent of the library internals:
 they only read the transition table via Automaton.delta. Also one shared
-fixture, the greedy's long word on cerny(300), and a hypothesis profile for
-CI runners."""
+fixture, the greedy's long word on cerny(300)."""
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from itertools import product
 
 import pytest
-from hypothesis import settings
 
 from synchro import Automaton, NotSynchronizing, cerny, eppstein_greedy
-
-# A shared CI runner can take longer than hypothesis's default 200 ms
-# deadline on an example for reasons of its own, such as the first preimage
-# call of an example building the byte tables; local runs keep the deadline.
-settings.register_profile("ci", deadline=None)
-if os.environ.get("CI"):
-    settings.load_profile("ci")
 
 # one tag of each algorithm tag form
 PARITY_TAGS = (
