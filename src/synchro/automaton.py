@@ -1,14 +1,15 @@
 """Complete deterministic automata over integer states and letters.
 
 States are 0..n-1 and letters are 0..k-1. A set of states is an int bit
-mask everywhere, bit q standing for state q: :meth:`Automaton.image` and
-:meth:`Automaton.preimage` are the checked one-letter forms of the unchecked
-kernels ``image_bits`` and ``preimage_bits``. ``preimage_bits`` returns a
-set's preimages under all k letters, in letter order, from one lookup per
-byte of the mask: its per-byte tables pack the k letters into one int. An
-automaton is immutable after construction; the inverse transition table and
-the per-byte preimage tables are each built once on first use and only read
-afterwards.
+mask everywhere, bit q standing for state q. :meth:`Automaton.image` is the
+checked form of the unchecked kernel ``image_bits``, and
+:meth:`Automaton.preimage` the checked one-letter preimage, which ORs the
+inverse masks of the set's members as ``image_bits`` ORs their successors.
+The search's kernel ``preimage_bits`` returns a set's preimages under all k
+letters, in letter order, from one lookup per byte of the mask: its per-byte
+tables pack the k letters into one int. An automaton is immutable after
+construction; the inverse transition table and the per-byte preimage tables
+are each built once on first use and only read afterwards.
 """
 
 from __future__ import annotations
@@ -234,7 +235,8 @@ class Automaton:
         """{ q : delta(q, a) in bits }"""
         self._check_bits(bits)
         self._check_letter(a)
-        return self.preimage_bits(bits)[a]
+        inv = self._inverse()[a]
+        return reduce(or_, [inv[q] for q in _bit_members(bits)], 0)
 
     def is_synchronizing_word(self, word: Sequence[int]) -> bool:
         """True iff applying ``word`` to the full state set yields a singleton.

@@ -100,7 +100,7 @@ class ExperimentConfig:
     k: int = 2
     trials: int = 200
     seed: int = 0
-    algorithms: tuple[str, ...] = ("eppstein", "cutoff-ibfs:n")
+    algorithms: tuple[str, ...] = ("eppstein", "cutoff-ibfs:log", "cutoff-ibfs:n")
     start_mode: str = "all"
     permute_by_indegree: bool = False
 

@@ -73,12 +73,17 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--n", type=int, nargs="+", default=[50, 100, 200], help="state counts"
     )
-    bench.add_argument("--k", type=int, default=2, help="alphabet size")
-    bench.add_argument("--trials", type=int, default=200, help="random automata per n")
-    bench.add_argument("--seed", type=int, default=0, help="seed of the automata")
+    # the matrix defaults are the config's, so the two cannot drift apart
+    cfg = ExperimentConfig
+    bench.add_argument("--k", type=int, default=cfg.k, help="alphabet size")
     bench.add_argument(
-        "--algos", nargs="+", default=["eppstein", "cutoff-ibfs:log", "cutoff-ibfs:n"],
-        help=ALGO_HELP,
+        "--trials", type=int, default=cfg.trials, help="random automata per n"
+    )
+    bench.add_argument(
+        "--seed", type=int, default=cfg.seed, help="seed of the automata"
+    )
+    bench.add_argument(
+        "--algos", nargs="+", default=list(cfg.algorithms), help=ALGO_HELP
     )
     bench.add_argument("--out", type=Path, default=None, help="CSV output path")
     return parser

@@ -33,10 +33,10 @@ class SearchResult:
     (index 0 = start singletons); empty for searches without a frontier.
     ``level_ops`` counts, per level, the preimage table lookups made plus one
     per dedup probe, for complexity checks: ceil(n/8) lookups per set whose
-    k preimages are taken from the tables, whatever k is, none for a set
-    whose preimages are reused from the level before, and one per preimage
-    at level 1 (``level_ops[0]``), whose singleton preimages are read
-    straight from the inverse table.
+    k preimages are taken from the tables, whatever k is, and none for a
+    set whose preimages are reused from the level before; the start
+    singletons' preimages are read from the inverse table, so level 1
+    (``level_ops[0]``) counts its dedup probes alone.
 
     ``level_probes`` counts, per level, the dedup probes: the nonempty
     preimages offered for dedup, which stop before the goal letter on the

@@ -84,8 +84,6 @@ def cutoff_ibfs(
     r = _relabel(a, [n - 1 - p for p in pi])
     full = r.full_bits
     nbytes = (n + 7) // 8  # table lookups per preimage_bits call, any k
-    frontier = sorted((1 << q for q in start_set(r, start_mode)), reverse=True)
-    start_count = len(frontier)
     level_ops: list[int] = []
     probes: list[int] = []
     distinct: list[int] = []
@@ -95,9 +93,6 @@ def cutoff_ibfs(
     # parent and letter, by divmod. The goal's letters, parent to parent,
     # are the word in order.
     links: list[list[int]] = []
-    # Level 0 holds singletons, and the preimage of {q} under x is the
-    # inverse mask inv[x][q]: k lookups in place of the tables' nbytes.
-    inv = r._inverse()
     preimage = r.preimage_bits
     # Brent cycle check: a level's mask list (canonical, as take_largest
     # orders it) fixes every later level, so if it repeats the mask list
@@ -106,27 +101,24 @@ def cutoff_ibfs(
     # A narrow frontier is mostly the frontier of the level before, so each
     # level keeps the preimage lists of the sets it expands, and the next
     # level reads a recurring set's list from there instead of the tables.
-    # Only one level is carried. Level 1 records nothing: its lists are one
-    # lookup each, and carrying them would hold one list per start state.
-    known: dict[int, list[int]] = {}
+    # Only one level is carried. The start singletons seed it: the preimage
+    # of {q} under x is the inverse mask inv[x][q], read with no lookup.
+    inv = r._inverse()
+    known = {1 << q: [row[q] for row in inv] for q in start_set(r, start_mode)}
+    frontier = sorted(known, reverse=True)
+    start_count = len(frontier)
 
     for level in range(1, maxlen + 1):
-        first = level == 1
         expanded: dict[int, list[int]] = {}
         flat: list[int] = []
         lookups = 0
         goal = None
         for sbits in frontier:
-            if first:
-                q = sbits.bit_length() - 1
-                pres = [row[q] for row in inv]
-                lookups += k
-            else:
-                pres = known.get(sbits)
-                if pres is None:
-                    pres = preimage(sbits)
-                    lookups += nbytes
-                expanded[sbits] = pres
+            pres = known.get(sbits)
+            if pres is None:
+                pres = preimage(sbits)
+                lookups += nbytes
+            expanded[sbits] = pres
             flat += pres
             if full in pres:
                 # the letters after the goal's are never offered for dedup

@@ -180,7 +180,7 @@ def test_preimage_kernel_matches_member_walk(case, inverse_first):
     # inverse table that the kernel's byte tables are built from
     a, masks = case
     if inverse_first:
-        a.build_inverse()  # else the first preimage_bits call builds both
+        a._inverse()  # else the first preimage_bits call builds both
     for bits in masks:
         members = [q for q in range(a.n) if bits >> q & 1]
         expect = [
@@ -197,7 +197,7 @@ def test_packed_tables_store_each_union_once():
     # one int however many entries read it, which keeps the tables below
     # the 5.69 MB that separate per-letter tables held at this size
     a = random_automaton(1000, 2, 0)
-    a.build_inverse()
+    a._inverse()
     tracemalloc.start()
     try:
         a.preimage_bits(0)
@@ -207,6 +207,20 @@ def test_packed_tables_store_each_union_once():
     assert size < 5.69e6
     for t in a._pre_tables:
         assert len({id(v) for v in t}) == len(set(t))
+
+
+def test_checked_preimage_builds_no_byte_tables():
+    # a one-letter query ORs its members' inverse masks, so it leaves the
+    # search's byte tables unbuilt; building them held 5.1 MB at this size
+    a = random_automaton(1000, 2, 0)
+    tracemalloc.start()
+    try:
+        a.preimage(1, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert a._pre_tables is None
+    assert peak < 1e6
 
 
 class TestSynchronizingWord:

@@ -16,7 +16,7 @@ from synchro import (
     synchronize,
 )
 from synchro import baselines
-from synchro.baselines import PairTable, _merge_ahead, build_pair_table
+from synchro.baselines import PairTable, _merge_ahead
 from synchro.bench import solve
 from conftest import brute_pair_merge_distance, eager_eppstein, no_shorter_reset_word
 
@@ -39,7 +39,7 @@ def grow_level(t):
 
 def grown_table(a):
     """The pair table of ``a`` with every mergeable pair labelled."""
-    t = build_pair_table(a)
+    t = PairTable(a)
     while grow_level(t):
         pass
     return t
@@ -47,7 +47,7 @@ def grown_table(a):
 
 class TestPairTable:
     def test_diagonal_is_zero(self):
-        t = build_pair_table(cerny(5))
+        t = PairTable(cerny(5))
         assert all(t.dist[pair_index(5, p, p)] == 0 for p in range(5))
 
     @pytest.mark.parametrize("seed", range(8))
@@ -83,7 +83,7 @@ class TestPairTable:
             for p in range(8)
             for q in range(p + 1, 8)
         }
-        t = build_pair_table(a)
+        t = PairTable(a)
         assert t.level == 0
         while True:
             level = t.level
@@ -104,7 +104,7 @@ class TestPairTable:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(6))
     def test_order_lists_each_level_as_grown(self, seed, k):
-        t = build_pair_table(random_automaton(8, k, seed))
+        t = PairTable(random_automaton(8, k, seed))
         assert list(t.starts) == [0, 8]
         assert list(t.order) == [p * 8 + p for p in range(8)]
         while True:
@@ -125,7 +125,7 @@ class TestPairTable:
         a = random_automaton(300, 2, seed)
         tracemalloc.start()
         try:
-            t = build_pair_table(a)
+            t = PairTable(a)
             assert list(t.grow(bytes(a.n))) == []  # no flagged pair: grow in full
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -137,7 +137,7 @@ class TestPairTable:
     def test_matches_eager_oracle_with_wide_alphabet(self, seed):
         # k > 256 stores letters in array('i') instead of one byte each.
         a = random_automaton(6, 300, seed)
-        assert build_pair_table(a).letter.itemsize > 1
+        assert PairTable(a).letter.itemsize > 1
         assert eppstein_greedy(a).word == eager_eppstein(a)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -147,7 +147,7 @@ class TestPairTable:
         for p in range(8):
             for q in range(8):
                 d = brute_pair_merge_distance(a, p, q, 64)
-                t = build_pair_table(a)
+                t = PairTable(a)
                 i = pair_index(8, q, p)
                 if p != q:
                     # flagging p and q grows to the level of {p, q} only
@@ -346,7 +346,7 @@ class TestEppsteinGreedy:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        t = build_pair_table(a)
+        t = PairTable(a)
         t.grow(bytes(a.n))  # no flagged pair: grow in full
         table_bytes = sum(memoryview(x).nbytes for x in (t.dist, t.letter, t.order))
         word_bytes = sys.getsizeof(list(word)) + sys.getsizeof(word)

@@ -189,6 +189,14 @@ def test_bench_to_stdout(capsys):
     assert out.startswith("n,k,trial,seed,algorithm,length,time_s,frontier_peak")
 
 
+def test_bench_defaults_are_the_config_defaults():
+    args = cli._build_parser().parse_args(["bench"])
+    defaults = (args.k, args.trials, args.seed, tuple(args.algos))
+    cfg = ExperimentConfig(ns=args.n)
+    assert defaults == (cfg.k, cfg.trials, cfg.seed, cfg.algorithms)
+    assert cfg.algorithms == ("eppstein", "cutoff-ibfs:log", "cutoff-ibfs:n")
+
+
 def test_bench_ignores_the_removed_jobs_variable(capsys, monkeypatch):
     # the trials always run in one process: the jobs variable older versions
     # read, whatever its value, changes nothing but the times

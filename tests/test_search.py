@@ -210,10 +210,10 @@ class TestCutoffIbfs:
     def test_class_hook_sees_every_table_preimage(self, monkeypatch):
         # A wrapper patched onto the class, as the benchmark's tracer does,
         # sees each set whose k preimages the search takes from the tables,
-        # one call per set. Level 1 reads the inverse masks and keeps
-        # nothing, so level 2 calls it on every set it expands; each later
-        # level on every set the level before did not expand, and reads the
-        # others' preimages from there.
+        # one call per set. The start singletons' preimages are read from
+        # the inverse masks, so level 1 makes no call; each later level
+        # calls it on every set the level before did not expand, and reads
+        # the others' preimages from there, a kept start singleton's too.
         calls = []
         frontiers = []  # the cut of each level, the next level's input
         marks = []  # len(calls) at each cut
@@ -250,9 +250,13 @@ class TestCutoffIbfs:
         )
         expanded = frontiers[:-1] + [last[: stop + 1]]
         ends = marks + [len(calls)]
+        start = {1 << q for q in range(8)}
+        kept = [bits for bits in expanded[0] if bits in start]
+        assert kept  # level 2 reads these from the carry
+        assert start.isdisjoint(bits for _, bits in calls[ends[0] : ends[1]])
         seen_before = set()
         for i, sets in enumerate(expanded):  # level i + 2
-            before = set(expanded[i - 1]) if i else set()
+            before = set(expanded[i - 1]) if i else start
             got = [bits for _, bits in calls[ends[i] : ends[i + 1]]]
             assert got == [b for b in sets if b not in before]
             assert seen_before.isdisjoint(got)
@@ -262,10 +266,9 @@ class TestCutoffIbfs:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("cap", [3, 8, UNBOUNDED], ids=["cap-3", "cap-8", "unbounded"])
     def test_level_ops_count_the_lookups_made(self, monkeypatch, seed, cap):
-        # from level 2 on, ceil(n/8) per set whose k preimages come from the
-        # tables, none for a set read from the level before, and one per
-        # dedup probe, which the oracle counts on member sets; level 1 makes
-        # one lookup per preimage
+        # ceil(n/8) per set whose k preimages come from the tables, none
+        # for a set read from the level before or a start singleton, and
+        # one per dedup probe, which the oracle counts on member sets
         calls = []
         pre = Automaton.preimage_bits
 
@@ -281,8 +284,7 @@ class TestCutoffIbfs:
         assert (res.length, res.word) == (length, word)
         assert res.level_probes == probes and res.level_distinct == distinct
         assert len(res.level_ops) == len(probes) == res.length
-        assert res.level_ops[0] == 2 * 40 + probes[0]
-        assert sum(res.level_ops[1:]) == len(calls) * 5 + sum(probes[1:])
+        assert sum(res.level_ops) == len(calls) * 5 + sum(probes)
 
     def test_unbounded_search_memory_stays_small(self):
         # one kept position per set and level, and no record per preimage
@@ -306,13 +308,14 @@ class TestCutoffIbfs:
         res = cutoff_ibfs(a, 5)
         assert res.word == (const,)
         assert res.level_probes == [const] and res.level_distinct == []
-        assert res.level_ops == [2 + const]
+        assert res.level_ops == [const]
 
-    def test_level_one_counts_one_lookup_per_preimage(self):
-        # cerny(20): 40 level-1 preimages, one lookup each (not ceil(20/8)),
-        # plus 39 dedup probes, since only {0} has an empty preimage
+    def test_level_one_makes_no_table_lookup(self):
+        # cerny(20): the 40 level-1 preimages are read from the inverse
+        # masks, so level 1 counts only its 39 dedup probes, since only {0}
+        # has an empty preimage
         res = synchronize(cerny(20), 20)
-        assert res.level_ops[0] == 40 + 39
+        assert res.level_ops[0] == 39
 
 
 class TestSynchronize:
