@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections import deque
 from itertools import combinations
 
@@ -35,15 +36,16 @@ class PairTable:
     word; ``dist[p*n+p]`` is 0. The table is the FIFO BFS from the diagonal
     backwards over the pair automaton, paused between levels: invariant,
     every pair at distance <= ``level`` is labelled and the rest read -1.
-    ``order`` is the BFS queue, every labelled index in BFS order; level d is
-    ``order[starts[d]:starts[d+1]]``, level 0 the diagonal. Letters take one
-    byte each when k <= 256. :meth:`grow` labels further levels, expanding
-    the queue one pair at a time, so it costs per pair and not per level.
-    Since the queue order is that of one uninterrupted BFS, so is every
-    stored letter.
+    ``order`` is the BFS queue, every labelled index in BFS order, so
+    distances never decrease along it: level d is its run at distance d,
+    level 0 the diagonal, and the last labelled level runs from
+    ``level_start`` to its end. Letters take one byte each when k <= 256.
+    :meth:`grow` labels further levels, expanding the queue one pair at a
+    time, so it costs per pair and not per level. Since the queue order is
+    that of one uninterrupted BFS, so is every stored letter.
     """
 
-    __slots__ = ("n", "dist", "letter", "order", "starts", "level", "_inv")
+    __slots__ = ("n", "dist", "letter", "order", "level", "level_start", "_inv")
 
     def __init__(self, a: Automaton):
         n = a.n
@@ -51,10 +53,10 @@ class PairTable:
         self.dist = array("i", [-1]) * (n * n)
         self.letter = bytearray(n * n) if a.k <= 256 else array("i", [0]) * (n * n)
         self.level = 0
+        self.level_start = 0
         self.order = array("i", range(0, n * n, n + 1))
         for i in self.order:
             self.dist[i] = 0
-        self.starts = array("i", [0, n])
         # (letter, per-state preimage lists, ascending), one entry per letter,
         # read off the columns so that no table is cached on ``a``
         self._inv = []
@@ -69,23 +71,23 @@ class PairTable:
         ``inside`` and return their indices ``p*n+q`` in BFS order (all-ones
         flags: the next level); once the BFS ends, return [] instead.
 
-        One ``head`` position runs through ``order`` from the start of the
-        last labelled level; when it reaches ``end``, the end of the level
-        being expanded, the next level is complete up to the queue's end."""
-        n, dist, letter, order, starts, inv = (
-            self.n, self.dist, self.letter, self.order, self.starts, self._inv)
+        One ``head`` position runs through ``order`` from ``level_start``;
+        when it reaches ``end``, the end of the level being expanded, the
+        next level is complete from there up to the queue's end."""
+        n, dist, letter, order, inv = (
+            self.n, self.dist, self.letter, self.order, self._inv)
         append = order.append
         d1 = self.level + 1
-        head = starts[-2]
-        end = starts[-1]
+        head = self.level_start
+        end = len(order)
         hits: list[int] = []
         while True:
             if head == end:
                 if len(order) == end:
                     return hits
                 self.level = d1
+                self.level_start = end
                 end = len(order)
-                starts.append(end)
                 if hits:
                     return hits
                 d1 += 1
@@ -177,7 +179,7 @@ def _table_word(
     on shortest paths hold all their labellers, so ranking them one layer at
     a time back from the labelled pairs of the last (ranked by queue
     position) gives each its table letter."""
-    n, order, level_start = table.n, table.order, table.starts[-2]
+    n, order, level_start = table.n, table.order, table.level_start
     rank = {j: order.index(j, level_start) for j in layers[-1] if table.dist[j] >= 0}
     step: dict[int, tuple[int, int]] = {}
     for layer in reversed(layers[:-1]):
@@ -239,7 +241,6 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
     dist = table.dist
     letter_of = table.letter
     order = table.order
-    starts = table.starts
     cols = a._cols  # cols[x][p] is the successor of p under x
     blocks: dict[tuple[int, ...], list[int]] = {}
     stride = _TAIL_STRIDE
@@ -264,11 +265,10 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
         else:
             for i in order[n:]:
                 if inside[i // n] and inside[i % n]:
-                    d = dist[i]
-                    best = min([
-                        j for j in order[order.index(i, starts[d]) : starts[d + 1]]
-                        if inside[j // n] and inside[j % n]
-                    ])
+                    at = order.index(i, n)
+                    end = bisect_right(order, dist[i], at, key=dist.__getitem__)
+                    best = min([j for j in order[at:end]
+                                if inside[j // n] and inside[j % n]])
                     break
         start = len(word)
         if best < 0:
@@ -276,7 +276,7 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
             # pairs to the table for at most the work of expanding its last
             # level, else grow to the first level with one
             ahead = _merge_ahead(cols, table, members,
-                                 (len(order) - starts[-2]) * len(cols))
+                                 (len(order) - table.level_start) * len(cols))
             if ahead is not None:
                 prefix, best = ahead
                 word += prefix

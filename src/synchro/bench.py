@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, fields
-from typing import Optional, TextIO
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, TextIO
 
 from .automaton import Automaton, random_automaton
 from .baselines import EXACT_MAX_STATES, eppstein_greedy, exact_shortest
@@ -131,8 +131,7 @@ def trial_seed(base: int, n: int, trial: int) -> int:
     return (base * 1_000_003 + n) * 1_000_003 + trial
 
 
-@dataclass
-class TrialRow:
+class TrialRow(NamedTuple):
     n: int
     k: int
     trial: int
@@ -142,47 +141,36 @@ class TrialRow:
     time_s: float
     frontier_peak: int
 
-    def as_csv(self) -> list[str]:
-        values = (getattr(self, name) for name in CSV_COLUMNS)
-        return [f"{v:.6f}" if isinstance(v, float) else str(v) for v in values]
 
-
-CSV_COLUMNS = tuple(f.name for f in fields(TrialRow))
-
-
-def run_trial(cfg: ExperimentConfig, n: int, trial: int) -> list[TrialRow]:
-    seed = trial_seed(cfg.seed, n, trial)
-    a = random_automaton(n, cfg.k, seed)
-    rows = []
-    for tag in cfg.algorithms:
-        t0 = time.perf_counter()
-        try:
-            res = solve(
-                a,
-                tag,
-                start_mode=cfg.start_mode,
-                permute_by_indegree=cfg.permute_by_indegree,
-            )
-            length, peak = res.length, res.frontier_peak()
-        except NotSynchronizing:
-            length, peak = -1, 0
-        rows.append(
-            TrialRow(n, cfg.k, trial, seed, tag, length, time.perf_counter() - t0, peak)
-        )
-    return rows
+CSV_COLUMNS = TrialRow._fields
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[TrialRow]:
     """All trial rows, ordered by (position of n in cfg.ns, trial, algorithm
-    position), the trials run one after another."""
-    return [row for n in cfg.ns for trial in range(cfg.trials)
-            for row in run_trial(cfg, n, trial)]
+    position)."""
+    rows = []
+    for n in cfg.ns:
+        for trial in range(cfg.trials):
+            seed = trial_seed(cfg.seed, n, trial)
+            a = random_automaton(n, cfg.k, seed)
+            for tag in cfg.algorithms:
+                t0 = time.perf_counter()
+                try:
+                    res = solve(a, tag, start_mode=cfg.start_mode,
+                                permute_by_indegree=cfg.permute_by_indegree)
+                    length, peak = res.length, res.frontier_peak()
+                except NotSynchronizing:
+                    length, peak = -1, 0
+                rows.append(TrialRow(n, cfg.k, trial, seed, tag, length,
+                                     time.perf_counter() - t0, peak))
+    return rows
 
 
 def write_csv(rows: list[TrialRow], out: TextIO) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(row.as_csv() for row in rows)
+    writer.writerows([f"{v:.6f}" if isinstance(v, float) else v for v in row]
+                     for row in rows)
 
 
 @dataclass

@@ -105,16 +105,17 @@ class TestPairTable:
     @pytest.mark.parametrize("seed", range(6))
     def test_order_lists_each_level_as_grown(self, seed, k):
         t = PairTable(random_automaton(8, k, seed))
-        assert list(t.starts) == [0, 8]
+        assert t.level_start == 0
         assert list(t.order) == [p * 8 + p for p in range(8)]
         while True:
             found = grow_level(t)
             if not found:
                 break
-            d = t.level
-            assert len(t.starts) == d + 2
-            assert list(t.order[t.starts[d] : t.starts[d + 1]]) == list(found)
-        assert t.starts[-1] == len(t.order)
+            assert list(t.order[t.level_start :]) == list(found)
+            assert {t.dist[j] for j in found} == {t.level}
+        assert {t.dist[j] for j in t.order[t.level_start :]} == {t.level}
+        dists = [t.dist[j] for j in t.order]
+        assert dists == sorted(dists)
         assert len(t.order) == sum(1 for x in t.dist if x >= 0)
         assert len(set(t.order)) == len(t.order)
 

@@ -132,6 +132,20 @@ def test_file_with_non_ascii_decimal_number_exits_1(tmp_path, capsys, text, line
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("content", [b"2 2\n1 \xff\n0 1\n", b"", None],
+                         ids=["undecodable", "empty", "directory"])
+def test_unreadable_file_exits_1(tmp_path, capsys, content):
+    path = tmp_path / "machine"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, out, err = run_cli(capsys, "run", "--file", str(path))
+    assert code == EXIT_ERROR
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and out == ""
+
+
 def test_file_round_trip_run(tmp_path, capsys):
     path = tmp_path / "cerny4.txt"
     path.write_text(serialize_automaton(cerny(4)))
@@ -226,6 +240,12 @@ def test_bench_ignores_the_removed_jobs_variable(capsys, monkeypatch):
         ("bench", "--n", "4", "--trials", "1", "--algos", "cutoff-ibfs:²"),
         ("bench", "--n", "4", "--trials", "1", "--algos", "cutoff-ibfs:３"),
         ("bench", "--n", "8", "25", "--trials", "3", "--algos", "eppstein", "exact:"),
+        ("run", "--cerny", "1"),
+        ("run", "--random", "0", "2"),
+        ("run", "--random", "3", "0"),
+        ("bench", "--n", "0"),
+        ("bench", "--n", "5", "--k", "0"),
+        ("bench", "--n", "5", "--trials", "0"),
     ],
     ids=[
         "maxsize-0",
@@ -239,13 +259,19 @@ def test_bench_ignores_the_removed_jobs_variable(capsys, monkeypatch):
         "bench-maxsize-superscript-digit",
         "bench-maxsize-fullwidth-digit",
         "bench-exact-alias",
+        "cerny-1",
+        "random-n-0",
+        "random-k-0",
+        "bench-n-0",
+        "bench-k-0",
+        "bench-trials-0",
     ],
 )
 def test_bad_input_exits_with_error_not_traceback(capsys, argv):
-    code, _, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_ERROR
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and out == ""
     if argv[-1] == "exact:":
         # the alias is refused before any trial, not at the n=25 limit
         assert "'exact:'" in err

@@ -190,10 +190,12 @@ def test_pair_table_levels_follow_the_fifo_rule(a):
     table = PairTable(a)
     while table.grow(b"\1" * n):
         pass
-    order, starts = list(table.order), table.starts
+    order = list(table.order)
+    dists = [table.dist[j] for j in order]
+    assert dists == sorted(dists)
     position = {j: i for i, j in enumerate(order)}
-    for d in range(1, len(starts) - 1):
-        level = order[starts[d] : starts[d + 1]]
+    for d in range(1, table.level + 1):
+        level = [j for j in order if table.dist[j] == d]
 
         def key(j):
             u, v = divmod(j, n)
@@ -224,7 +226,7 @@ def test_pair_table_pauses_and_resumes_cleanly(a, seed):
         pass
     whole = PairTable(a)
     assert whole.grow(bytes(n)) == []
-    for field in ("order", "starts", "dist", "letter", "level"):
+    for field in PairTable.__slots__:
         assert getattr(table, field) == getattr(whole, field)
     assert table.grow(b"\1" * n) == []
     assert table.level == whole.level
