@@ -205,17 +205,20 @@ class Automaton:
         # from bit x*n, so one lookup per byte serves every letter; each
         # state has one successor per letter, so the entries are disjoint
         # and the sum carries nothing. The tables are built on the first
-        # call, not with the inverse. Idempotent like _inverse().
-        tables = self._pre_tables
-        n = self.n
-        if tables is None:
+        # call, not with the inverse, and stored with the constants every
+        # call reads. Idempotent like _inverse().
+        consts = self._pre_tables
+        if consts is None:
+            n = self.n
             packed = [0] * n
             for x, masks in enumerate(self._inverse()):
                 packed = [p | m << x * n for p, m in zip(packed, masks)]
-            tables = self._pre_tables = _byte_tables(packed)
-        pre = sum(map(getitem, tables, bits.to_bytes(len(tables), "little")))
-        full = self.full_bits
-        return [pre >> shift & full for shift in range(0, self.k * n, n)]
+            tables = _byte_tables(packed)
+            consts = self._pre_tables = (
+                tables, len(tables), self.full_bits, tuple(range(0, self.k * n, n)))
+        tables, nbytes, full, shifts = consts
+        pre = sum(map(getitem, tables, bits.to_bytes(nbytes, "little")))
+        return [pre >> s & full for s in shifts]
 
     def _check_bits(self, bits: int) -> None:
         if bits < 0 or bits >> self.n:

@@ -39,10 +39,11 @@ class PairTable:
     ``order`` is the BFS queue, every labelled index in BFS order, so
     distances never decrease along it: level d is its run at distance d,
     level 0 the diagonal, and the last labelled level runs from
-    ``level_start`` to its end. Letters take one byte each when k <= 256.
-    :meth:`grow` labels further levels, expanding the queue one pair at a
-    time, so it costs per pair and not per level. Since the queue order is
-    that of one uninterrupted BFS, so is every stored letter.
+    ``level_start`` to its end. Letters take one byte each when k <= 256,
+    and distances one byte until a level passes 127. :meth:`grow` labels
+    further levels, expanding the queue one pair at a time, so it costs per
+    pair and not per level. Since the queue order is that of one
+    uninterrupted BFS, so is every stored letter.
     """
 
     __slots__ = ("n", "dist", "letter", "order", "level", "level_start", "_inv")
@@ -50,7 +51,7 @@ class PairTable:
     def __init__(self, a: Automaton):
         n = a.n
         self.n = n
-        self.dist = array("i", [-1]) * (n * n)
+        self.dist = array("b", [-1]) * (n * n)
         self.letter = bytearray(n * n) if a.k <= 256 else array("i", [0]) * (n * n)
         self.level = 0
         self.level_start = 0
@@ -70,6 +71,24 @@ class PairTable:
         """Label levels until one holds pairs of states both flagged in
         ``inside`` and return their indices ``p*n+q`` in BFS order (all-ones
         flags: the next level); once the BFS ends, return [] instead.
+
+        The first label of level 128 overflows the one-byte ``dist`` before
+        anything of that pair is written. Level 127 is then complete, no
+        pair beyond it is labelled and no hit is pending, so the distances
+        widen to four bytes and the growth runs again from ``level_start``,
+        labelling exactly what it would have."""
+        try:
+            return self._grow(inside)
+        except OverflowError:
+            dist = self.dist
+            wide = array("i", [-1]) * len(dist)
+            for i in self.order:
+                wide[i] = dist[i]
+            self.dist = wide
+            return self._grow(inside)
+
+    def _grow(self, inside: bytes | bytearray) -> list[int]:
+        """:meth:`grow` in distances of the current width.
 
         One ``head`` position runs through ``order`` from ``level_start``;
         when it reaches ``end``, the end of the level being expanded, the
@@ -282,6 +301,7 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
                 word += prefix
             else:
                 best = min(table.grow(inside), default=-1)
+                dist = table.dist  # the one call that can widen it
                 if best < 0:
                     raise NotSynchronizing("some state pair has no merging word")
         p, q = divmod(best, n)

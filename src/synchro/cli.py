@@ -21,7 +21,10 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .automaton import START_MODES, Automaton, cerny, parse_automaton, random_automaton
+from .automaton import (
+    START_MODES, Automaton, AutomatonFormatError, cerny, parse_automaton,
+    random_automaton,
+)
 from .bench import (
     NAMED_CAPS, ExperimentConfig, format_summary, run_experiment, solve, write_csv,
 )
@@ -91,7 +94,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_automaton(args) -> Automaton:
     if args.file is not None:
-        return parse_automaton(args.file.read_text())
+        data = args.file.read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise AutomatonFormatError("not UTF-8 text", line) from None
+        return parse_automaton(text)
     if args.cerny is not None:
         return cerny(args.cerny)
     n, k = args.random
@@ -137,7 +146,8 @@ def _cmd_bench(args) -> int:
         start_mode=args.start_mode, permute_by_indegree=args.permute_indegree,
     )
     # open the file first, so a bad path fails before the trials run
-    out = nullcontext(sys.stdout) if args.out is None else open(args.out, "w")
+    out = (nullcontext(sys.stdout) if args.out is None
+           else open(args.out, "w", encoding="utf-8"))
     with out as fh:
         rows = run_experiment(cfg)
         write_csv(rows, fh)

@@ -17,7 +17,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def _api_section():
     """README's ``## API`` section, up to the next ``##`` heading."""
-    return re.search(r"^## API\n(.*?)^## ", README.read_text(), re.S | re.M)[1]
+    text = README.read_text(encoding="utf-8")
+    return re.search(r"^## API\n(.*?)^## ", text, re.S | re.M)[1]
 
 
 def test_every_exported_name_resolves():
@@ -58,7 +59,7 @@ def test_package_imports_only_the_standard_library():
     # import statements instead; relative imports are the package's own
     outside = []
     for path in sorted(Path(synchro.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:

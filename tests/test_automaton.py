@@ -205,7 +205,7 @@ def test_packed_tables_store_each_union_once():
     finally:
         tracemalloc.stop()
     assert size < 5.69e6
-    for t in a._pre_tables:
+    for t in a._pre_tables[0]:
         assert len({id(v) for v in t}) == len(set(t))
 
 

@@ -164,6 +164,33 @@ class TestPairTable:
                     x = t.letter[i]
                     assert t.dist[pair_index(8, a.delta(p, x), a.delta(q, x))] == d - 1
 
+    def test_distances_past_127_widen_the_table(self):
+        # cerny(17)'s pair distances reach 136 (cerny(16)'s stop at 120), so
+        # one call widens the one-byte distances as level 128 starts
+        a = cerny(17)
+        t = PairTable(a)
+        assert t.dist.typecode == "b"
+        assert list(t.grow(bytes(17))) == []
+        assert t.dist.typecode == "i" and t.level == 136
+        for p in range(17):
+            for q in range(p + 1, 17):
+                assert t.dist[p * 17 + q] == brute_pair_merge_distance(a, p, q, 200)
+
+    def test_widening_at_a_grow_entry_keeps_the_one_call_table(self):
+        # grown one level per call, the table reaches level 127 in one byte
+        # and widens on entry to the next call
+        t = PairTable(cerny(17))
+        while t.level < 127:
+            assert grow_level(t)
+        assert t.dist.typecode == "b"
+        assert list(grow_level(t)) and t.level == 128
+        while grow_level(t):
+            pass
+        whole = PairTable(cerny(17))
+        whole.grow(bytes(17))
+        assert t.dist.typecode == "i"
+        assert (t.dist, t.letter, t.order) == (whole.dist, whole.letter, whole.order)
+
 
 def table_merge_word(a, members):
     """The merging word of the closest pair of ``members`` (ties: the least
@@ -335,6 +362,18 @@ class TestEppsteinGreedy:
         with pytest.raises(RuntimeError, match="merged no pair"):
             eppstein_greedy(cerny(5))
         assert len(calls) == 1
+
+    def test_one_byte_distances_keep_the_heap_small(self):
+        # the table stops at level 2-3 here, so its distances take one byte
+        # each; four bytes each took the peak to 5.45 MB
+        a = random_automaton(1000, 2, 0)
+        tracemalloc.start()
+        try:
+            eppstein_greedy(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0e6
 
     def test_heap_stays_near_word_and_table_bytes(self):
         # Only one pair in every _TAIL_STRIDE along a chain remembers where

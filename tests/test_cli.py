@@ -77,7 +77,7 @@ def test_exact_matches_unbounded_cutoff(capsys):
 
 def test_not_synchronizing_exit_code(tmp_path, capsys):
     path = tmp_path / "perm.txt"
-    path.write_text("3 2\n1 2\n2 0\n0 1\n")
+    path.write_text("3 2\n1 2\n2 0\n0 1\n", encoding="utf-8")
     code, out, _ = run_cli(capsys, "run", "--file", str(path), "--algo", "eppstein")
     assert code == EXIT_NOT_SYNCHRONIZING
 
@@ -111,7 +111,7 @@ def test_maxlen_bounds_every_algorithm(capsys, algo, maxlen, expect):
 
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.txt"
-    path.write_text("2 2\n3 0\n0 1\n")
+    path.write_text("2 2\n3 0\n0 1\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "run", "--file", str(path), "--algo", "eppstein")
     assert code == EXIT_ERROR
     assert "line 2" in err
@@ -132,9 +132,13 @@ def test_file_with_non_ascii_decimal_number_exits_1(tmp_path, capsys, text, line
     assert "Traceback" not in err and out == ""
 
 
-@pytest.mark.parametrize("content", [b"2 2\n1 \xff\n0 1\n", b"", None],
-                         ids=["undecodable", "empty", "directory"])
-def test_unreadable_file_exits_1(tmp_path, capsys, content):
+@pytest.mark.parametrize(
+    "content, reason",
+    [(b"2 2\n1 \xff\n0 1\n", "line 2: not UTF-8 text"),
+     (b"", "line 1: expected header 'n k'"), (None, "Is a directory")],
+    ids=["undecodable", "empty", "directory"],
+)
+def test_unreadable_file_exits_1(tmp_path, capsys, content, reason):
     path = tmp_path / "machine"
     if content is None:
         path.mkdir()
@@ -144,11 +148,12 @@ def test_unreadable_file_exits_1(tmp_path, capsys, content):
     assert code == EXIT_ERROR
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err and out == ""
+    assert reason in err
 
 
 def test_file_round_trip_run(tmp_path, capsys):
     path = tmp_path / "cerny4.txt"
-    path.write_text(serialize_automaton(cerny(4)))
+    path.write_text(serialize_automaton(cerny(4)), encoding="utf-8")
     code, out, _ = run_cli(
         capsys, "run", "--file", str(path), "--algo", "exact"
     )
@@ -173,7 +178,7 @@ def test_bench_writes_csv_and_summary(tmp_path, capsys):
         "--algos", "eppstein", "cutoff-ibfs:n", "--out", str(out_path),
     )
     assert code == EXIT_OK
-    rows = list(csv.DictReader(io.StringIO(out_path.read_text())))
+    rows = list(csv.DictReader(io.StringIO(out_path.read_text(encoding="utf-8"))))
     assert len(rows) == 6
     assert set(rows[0]) == {
         "n", "k", "trial", "seed", "algorithm", "length", "time_s", "frontier_peak"
@@ -307,14 +312,14 @@ def test_over_long_maxsize_fails_before_any_work(tmp_path, capsys):
     # one digit past the interpreter's default limit on int() digits
     tag = "cutoff-ibfs:" + "9" * 4301
     out = tmp_path / "rows.csv"
-    out.write_text("kept\n")
+    out.write_text("kept\n", encoding="utf-8")
     bench = run_cli(
         capsys, "bench", "--n", "4", "--trials", "2", "--algos", "eppstein", tag,
         "--out", str(out),
     )
     run = run_cli(capsys, "run", "--cerny", "4", "--algo", tag)
     assert run == bench == (EXIT_ERROR, "", "error: bad maxsize: 4301 digits are too many\n")
-    assert out.read_text() == "kept\n"
+    assert out.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_run_length_matches_the_bench_row(tmp_path, capsys):
@@ -326,7 +331,8 @@ def test_run_length_matches_the_bench_row(tmp_path, capsys):
     for row in rows:
         assert row.seed == trial_seed(0, 8, row.trial)
         path = tmp_path / f"trial{row.trial}.txt"
-        path.write_text(serialize_automaton(random_automaton(8, 2, row.seed)))
+        text = serialize_automaton(random_automaton(8, 2, row.seed))
+        path.write_text(text, encoding="utf-8")
         code, out, _ = run_cli(capsys, "run", "--file", str(path), "--algo", row.algorithm)
         if row.length < 0:
             assert code == EXIT_NOT_SYNCHRONIZING
@@ -368,7 +374,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def _readme_commands(subcommand):
     """The `synchro <subcommand>` lines of README's fenced sh blocks, `\\`
     continuations joined, as (command, trailing comment)."""
-    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.S | re.M)
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M)
     commands = []
     for block in blocks:
         for line in block.replace("\\\n", " ").splitlines():
@@ -403,7 +410,7 @@ def test_readme_run_examples_run(capsys):
 def test_readme_states_the_cli_contract(capsys, monkeypatch, tmp_path):
     """README's CSV header, exit codes, tag grammar and bench example agree
     with the code that defines them."""
-    text = README.read_text()
+    text = README.read_text(encoding="utf-8")
     assert re.findall(r"^```csv\n(.*)\n```$", text, re.M) == [",".join(CSV_COLUMNS)]
 
     sentence = re.search(r"^Exit codes: (.*?)\.\s", text, re.M | re.S)[1]
@@ -439,7 +446,8 @@ def run_cli_process(argv, stdout, preexec_fn=None):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     return subprocess.run(
         [sys.executable, "-m", "synchro.cli", *argv], stdout=stdout,
-        stderr=subprocess.PIPE, text=True, env=env, timeout=60, preexec_fn=preexec_fn,
+        stderr=subprocess.PIPE, encoding="utf-8", env=env, timeout=60,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -493,7 +501,7 @@ def test_bench_out_to_full_device_is_an_error_not_a_traceback():
     ids=["run", "bench"],
 )
 def test_out_of_memory_is_an_error_not_a_traceback(argv):
-    # the pair table alone takes 5 n^2 bytes, 4.5 GB at n = 30000, so under
+    # the pair table alone takes 2 n^2 bytes, 1.8 GB at n = 30000, so under
     # the limit its allocation fails at once; run only under the limit
     proc = run_cli_process_in_little_memory(argv)
     assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")

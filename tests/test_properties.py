@@ -313,12 +313,12 @@ def test_failing_property_does_not_stop_the_session(tmp_path):
     # reporting a failing example imports hypothesis.extra._patching, which
     # imports libcst where it is installed; the suite's warning filters must
     # let that import through, so a failure ends one test, not the session
-    (tmp_path / "test_inner.py").write_text(FAILING_PROPERTY)
+    (tmp_path / "test_inner.py").write_text(FAILING_PROPERTY, encoding="utf-8")
     config = Path(__file__).resolve().parents[1] / "pyproject.toml"
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "-c", str(config), str(tmp_path / "test_inner.py")],
-        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, capture_output=True, encoding="utf-8", timeout=120,
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
