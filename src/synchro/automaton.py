@@ -72,8 +72,8 @@ _MAX_BLOCKS = 64
 
 def _column(
     cols: Sequence[Sequence[int]],
-    run: tuple[int, ...],
-    blocks: dict[tuple[int, ...], list[int]],
+    run: bytes | tuple[int, ...],
+    blocks: dict[bytes | tuple[int, ...], list[int]],
 ) -> list[int] | None:
     """The composed column of ``run`` (_BLOCK or _LONG letters) from
     ``blocks``, else composed and kept there if the columns this adds leave
@@ -100,20 +100,21 @@ def _column(
 
 def _apply_word(
     cols: Sequence[Sequence[int]],
-    word: Sequence[int],
+    word: bytes | tuple[int, ...],
     states: Iterable[int],
-    blocks: dict[tuple[int, ...], list[int]],
+    blocks: dict[bytes | tuple[int, ...], list[int]],
 ) -> list[int]:
     """The successors of ``states`` under ``word``, one per entry, in order
     and with repeats; ``cols[x][p]`` is the successor of p under x. The
-    composed column of each run is kept in ``blocks``, keyed by the run, so
-    that a caller applying many words can share it."""
+    composed column of each run is kept in ``blocks``, keyed by the run's
+    slice of ``word``, so that a caller applying many words can share it;
+    ``word`` must be bytes or a tuple, so that every slice is hashable."""
     states = list(states)
     start = 0
     short = 0  # runs before this position take _BLOCK letters
     while len(word) - start >= _BLOCK:
         size = _LONG if start >= short and len(word) - start >= _LONG else _BLOCK
-        run = tuple(word[start : start + size])
+        run = word[start : start + size]
         col = _column(cols, run, blocks)
         if col is None and size == _LONG:
             short = start + _LONG  # no room for its column: take its short runs
@@ -245,13 +246,14 @@ class Automaton:
         """True iff applying ``word`` to the full state set yields a singleton.
         Every letter is checked first, so a letter outside ``[0, k)`` raises
         ValueError even after the states have merged."""
+        word = tuple(word)  # _apply_word keys runs by slices of it
         for a in word:
             self._check_letter(a)
         # Spans of runs, each span's states deduplicated, so that the state
         # list shrinks with the set it stands for.
         span = _BLOCK * _BLOCK
         states: Iterable[int] = range(self.n)
-        blocks: dict[tuple[int, ...], list[int]] = {}
+        blocks: dict[bytes | tuple[int, ...], list[int]] = {}
         for i in range(0, len(word), span):
             states = set(_apply_word(self._cols, word[i : i + span], states, blocks))
             if len(states) == 1:

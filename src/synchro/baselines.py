@@ -254,18 +254,23 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
     pair's letters from the word instead of reading them again. The copy is
     exact: a labelled pair's letter and distance never change, so neither
     does its chain, and the position stored for a pair (one in every
-    ``_TAIL_STRIDE`` along a chain) starts exactly its table letters."""
+    ``_TAIL_STRIDE`` along a chain) starts exactly its table letters.
+
+    The word takes one byte per letter while k <= 256, as the table's
+    letters do, so a copy is a slice of bytes and each merge word reaches
+    :func:`_apply_word` as bytes; it is returned as a tuple of ints."""
     n = a.n
     table = build_pair_table(a)
     dist = table.dist
     letter_of = table.letter
     order = table.order
     cols = a._cols  # cols[x][p] is the successor of p under x
-    blocks: dict[tuple[int, ...], list[int]] = {}
+    blocks: dict[bytes | tuple[int, ...], list[int]] = {}
     stride = _TAIL_STRIDE
     tail: dict[int, int] = {}  # pair index -> where its table letters start
     members = list(range(n))
-    word: list[int] = []
+    word: bytearray | list[int] = bytearray() if a.k <= 256 else []
+    frozen = bytes if a.k <= 256 else tuple  # a hashable copy of a merge word
     while len(members) > 1:
         best = -1
         m = len(members)
@@ -298,7 +303,7 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
                                  (len(order) - table.level_start) * len(cols))
             if ahead is not None:
                 prefix, best = ahead
-                word += prefix
+                word.extend(prefix)
             else:
                 best = min(table.grow(inside), default=-1)
                 dist = table.dist  # the one call that can widen it
@@ -319,7 +324,7 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
             p = cols[x][p]
             q = cols[x][q]
             d -= 1
-        members = sorted(set(_apply_word(cols, word[start:], members, blocks)))
+        members = sorted(set(_apply_word(cols, frozen(word[start:]), members, blocks)))
         if len(members) >= m:
             # a wrong merge word would have the same pair merged again forever
             raise RuntimeError("a merge word merged no pair of states")

@@ -238,6 +238,15 @@ class TestSynchronizingWord:
         with pytest.raises(ValueError):
             cerny(3).is_synchronizing_word((0, 2))
 
+    def test_list_tuple_and_bytes_words_agree(self):
+        # 522 letters, three 256-letter spans; without its last
+        # letter the word leaves two states
+        a = cerny(20)
+        word = eppstein_greedy(a).word
+        for w, expect in ((word, True), (word[:-1], False)):
+            for form in (list, tuple, bytes):
+                assert a.is_synchronizing_word(form(w)) is expect
+
     def test_long_word_checks_in_time(self, cerny300_greedy):
         # the word applies in composed 64- and 16-letter runs: letter by
         # letter on a bit mask it took about 2 s
@@ -253,7 +262,7 @@ class TestSynchronizingWord:
         rng = random.Random(0)
         word = [rng.randrange(2) for _ in range(16 * 200 + 5)]
         blocks = {}
-        got = _apply_word(a._cols, word, range(a.n), blocks)
+        got = _apply_word(a._cols, tuple(word), range(a.n), blocks)
         assert len(blocks) == _MAX_BLOCKS
         expect = list(range(a.n))
         for x in word:
@@ -311,6 +320,22 @@ class _Counted(list):
 
 
 class TestApplyWord:
+    def test_bytes_and_tuple_words_give_the_same_states_and_runs(self):
+        # three long runs, a repeated short run and a ragged tail: each word
+        # keys its runs by slices of itself, so a bytes word's keys are bytes
+        a = random_automaton(12, 3, 0)
+        rng = random.Random(0)
+        short = [rng.randrange(3) for _ in range(_BLOCK)]
+        letters = [rng.randrange(3) for _ in range(3 * _LONG)] + short * 2 + [2, 0, 1]
+        got, keys = {}, {}
+        for word in (bytes(letters), tuple(letters)):
+            blocks = {}
+            got[type(word)] = _apply_word(a._cols, word, range(a.n), blocks)
+            assert all(type(run) is type(word) for run in blocks)
+            keys[type(word)] = set(map(bytes, blocks))
+        assert got[bytes] == got[tuple] == _letter_by_letter(a, letters, range(a.n))
+        assert keys[bytes] == keys[tuple] and len(keys[bytes]) == 3 + 4 * 3 + 1
+
     @settings(deadline=None)
     @given(st.integers(1, 12), st.integers(1, 3), st.integers(1, 4),
            st.integers(1, 8), st.integers(0, 2**32))
@@ -327,7 +352,7 @@ class TestApplyWord:
             word = [x for _ in range(length // _BLOCK) for x in rng.choice(runs)]
             word += [rng.randrange(k) for _ in range(length % _BLOCK)]
             states = [rng.randrange(n) for _ in range(rng.randrange(2 * n + 1))]
-            got = _apply_word(a._cols, word, states, blocks)
+            got = _apply_word(a._cols, tuple(word), states, blocks)
             assert got == _letter_by_letter(a, word, states)
             assert len(blocks) <= _MAX_BLOCKS
         target(len(blocks))  # steer towards a full cache
@@ -346,7 +371,7 @@ class TestApplyWord:
         long = [sum(quad, ()) for quad in itertools.product(short, repeat=4)]
         blocks = _Spy()
         fill = [x for run in long[:60] for x in run]
-        _apply_word(a._cols, fill, range(a.n), blocks)
+        _apply_word(a._cols, tuple(fill), range(a.n), blocks)
         assert len(blocks) == _MAX_BLOCKS
         assert sorted(map(len, blocks)) == [_BLOCK] * 4 + [_LONG] * 60
         keys = set(blocks)
@@ -355,7 +380,7 @@ class TestApplyWord:
         cols = tuple(_Counted(col) for col in a._cols)
         blocks.asked.clear()
         _Counted.reads = 0
-        got = _apply_word(cols, word, range(a.n), blocks)
+        got = _apply_word(cols, tuple(word), range(a.n), blocks)
         assert got == _letter_by_letter(a, word, range(a.n))
         assert set(blocks) == keys
         fallback = [(_LONG, False)] + [(_BLOCK, True)] * 4

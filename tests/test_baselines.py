@@ -341,6 +341,20 @@ class TestEppsteinGreedy:
         # 64-letter runs from cached columns).
         assert eppstein_greedy(a).word == eager_eppstein(a)
 
+    @pytest.mark.parametrize("k", [2, 300])
+    def test_word_is_a_tuple_of_ints_from_either_buffer(self, k):
+        # k = 2 builds the word in bytes and k = 300 in a list. Letters
+        # 0..k-2 act as cerny's letter 0 and letter k-1 as its letter 1, so
+        # the k = 300 word holds a letter that no byte holds.
+        c = cerny(12)
+        a = Automaton([[c.delta(q, 0)] * (k - 1) + [c.delta(q, 1)] for q in range(c.n)])
+        greedy = eppstein_greedy(a)
+        assert greedy.word == eager_eppstein(a)
+        assert k - 1 in greedy.word
+        for res in (greedy, synchronize(a, a.n)):
+            assert type(res.word) is tuple
+            assert all(type(x) is int for x in res.word)
+
     def test_deterministic(self):
         a = random_automaton(40, 2, seed=5)
         assert eppstein_greedy(a).word == eppstein_greedy(a).word
@@ -376,9 +390,10 @@ class TestEppsteinGreedy:
         assert peak < 3.0e6
 
     def test_heap_stays_near_word_and_table_bytes(self):
-        # Only one pair in every _TAIL_STRIDE along a chain remembers where
-        # its letters start in the word; remembering every pair read took
-        # the peak to 1.8x.
+        # The word is built in one byte per letter and returned as a tuple,
+        # and only one pair in every _TAIL_STRIDE along a chain remembers
+        # where its letters start in the word. A list buffer took the peak
+        # to 1.76x, remembering every pair read to more.
         a = cerny(300)
         tracemalloc.start()
         try:
@@ -389,8 +404,7 @@ class TestEppsteinGreedy:
         t = PairTable(a)
         t.grow(bytes(a.n))  # no flagged pair: grow in full
         table_bytes = sum(memoryview(x).nbytes for x in (t.dist, t.letter, t.order))
-        word_bytes = sys.getsizeof(list(word)) + sys.getsizeof(word)
-        assert peak < 1.25 * (word_bytes + table_bytes)
+        assert peak < 1.25 * (sys.getsizeof(word) + len(word) + table_bytes)
 
 
 class TestExactShortest:
