@@ -15,6 +15,7 @@ are each built once on first use and only read afterwards.
 from __future__ import annotations
 
 import random
+import sys
 from functools import reduce
 from itertools import chain, islice, repeat
 from operator import getitem, index, or_
@@ -276,6 +277,8 @@ def cerny(n: int) -> Automaton:
     is (n-1)^2."""
     if n < 2:
         raise ValueError("cerny automaton needs n >= 2")
+    if n > sys.maxsize:
+        raise ValueError(f"n={n} is too large: n must be at most {sys.maxsize}")
     rows = [((q + 1) % n, 1 if q == 0 else q) for q in range(n)]
     return Automaton(rows)
 
@@ -290,6 +293,8 @@ def random_automaton(n: int, k: int, seed: int) -> Automaton:
     below n; the stream is filtered in C rather than called per entry."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
+    if n * k > sys.maxsize:
+        raise ValueError(f"n={n} is too large: n*k must be at most {sys.maxsize}")
     draw = random.Random(seed).getrandbits
     below_n = filter(n.__gt__, map(draw, repeat(n.bit_length())))
     return Automaton(zip(*[islice(below_n, n * k)] * k))
@@ -359,8 +364,9 @@ def start_set(a: Automaton, mode: str = "all") -> list[int]:
 def _relabel(a: Automaton, new: Sequence[int]) -> Automaton:
     """``a`` with each state q renamed ``new[q]``; letters keep their names."""
     rows: list[list[int]] = [[]] * a.n
+    rename = new.__getitem__
     for q, row in enumerate(a.rows):
-        rows[new[q]] = [new[p] for p in row]
+        rows[new[q]] = list(map(rename, row))
     return Automaton(rows)
 
 

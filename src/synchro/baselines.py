@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import combinations
 
@@ -56,8 +56,7 @@ class PairTable:
         self.level = 0
         self.level_start = 0
         self.order = array("i", range(0, n * n, n + 1))
-        for i in self.order:
-            self.dist[i] = 0
+        self.dist[:: n + 1] = array("b", bytes(n))
         # (letter, per-state preimage lists, ascending), one entry per letter,
         # read off the columns so that no table is cached on ``a``
         self._inv = []
@@ -166,6 +165,7 @@ def _merge_ahead(
             if budget < 0 or not layers[-1]:
                 return None
             nxt = []
+            hit = False
             for i in layers[-1]:
                 u, v = divmod(i, n)
                 for col in cols:
@@ -175,8 +175,12 @@ def _merge_ahead(
                     if j not in seen:
                         seen.add(j)
                         nxt.append(j)
+                        if dist[j] >= 0:
+                            hit = True
             layers.append(nxt)
-            if any(dist[j] >= 0 for j in nxt):
+            # hit: the layer holds a labelled pair; it was built in full all
+            # the same, since _table_word ranks every labelled pair in it
+            if hit:
                 best = layers
                 break
         if len(best) == 2:
@@ -235,20 +239,21 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
     Each merge picks its pair one of three exact ways. If the table has
     labelled a pair of members, then with m members it scans all m(m-1)/2
     member pairs if the table has labelled at least that many off-diagonal
-    pairs, else scans ``order`` once past the diagonal for the first pair of
-    members and takes the least index of a member pair in its level; since
-    every unlabelled pair lies beyond the table's level, the least labelled
-    distance is the least distance. If not, a forward BFS from each member
-    pair looks ahead to the table's labelled pairs for the closest pair and
-    the letters the grown table would give it up to one of them, for at
-    most about the work of expanding the table's last level
-    (:func:`_merge_ahead`); failing that, the table grows to the first level
-    that holds a pair of members. Either way the rest of the word is the
-    table's letters along the pair's chain of labellers. All three give the
-    lexicographically smallest pair at the least distance, so the words are
-    those of a greedy that reads a fully built table; the table grows only
-    when no other way finds a pair, which on random automata leaves its
-    widest levels unbuilt.
+    pairs, else walks ``order`` past the diagonal to the first pair of
+    members and takes the first member pair in an index-sorted copy of its
+    level, made when a walk first ends in that level and kept, since a
+    labelled level never changes; as every unlabelled pair lies beyond the
+    table's level, the least labelled distance is the least distance. If
+    not, a forward BFS from each member pair looks ahead to the table's
+    labelled pairs for the closest pair and the letters the grown table
+    would give it up to one of them, for at most about the work of
+    expanding the table's last level (:func:`_merge_ahead`); failing that,
+    the table grows to the first level that holds a pair of members. Either
+    way the rest of the word is the table's letters along the pair's chain
+    of labellers. All three give the lexicographically smallest pair at the
+    least distance, so the words are those of a greedy that reads a fully
+    built table; the table grows only when no other way finds a pair, which
+    on random automata leaves its widest levels unbuilt.
 
     A chain that meets a pair an earlier merge already read copies that
     pair's letters from the word instead of reading them again. The copy is
@@ -268,6 +273,7 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
     blocks: dict[bytes | tuple[int, ...], list[int]] = {}
     stride = _TAIL_STRIDE
     tail: dict[int, int] = {}  # pair index -> where its table letters start
+    levels: dict[int, array] = {}  # distance -> that labelled level, ascending
     members = list(range(n))
     word: bytearray | list[int] = bytearray() if a.k <= 256 else []
     frozen = bytes if a.k <= 256 else tuple  # a hashable copy of a merge word
@@ -289,10 +295,15 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
         else:
             for i in order[n:]:
                 if inside[i // n] and inside[i % n]:
-                    at = order.index(i, n)
-                    end = bisect_right(order, dist[i], at, key=dist.__getitem__)
-                    best = min([j for j in order[at:end]
-                                if inside[j // n] and inside[j % n]])
+                    d = dist[i]
+                    level = levels.get(d)
+                    if level is None:
+                        at = bisect_left(order, d, n, key=dist.__getitem__)
+                        end = bisect_right(order, d, at, key=dist.__getitem__)
+                        level = levels[d] = array("i", sorted(order[at:end]))
+                    for best in level:  # i is there, so some member pair is
+                        if inside[best // n] and inside[best % n]:
+                            break
                     break
         start = len(word)
         if best < 0:

@@ -104,7 +104,9 @@ def cutoff_ibfs(
     # Only one level is carried. The start singletons seed it: the preimage
     # of {q} under x is the inverse mask inv[x][q], read with no lookup.
     inv = r._inverse()
-    known = {1 << q: [row[q] for row in inv] for q in start_set(r, start_mode)}
+    starts = start_set(r, start_mode)
+    start_pres = zip(*[map(row.__getitem__, starts) for row in inv])
+    known = dict(zip(map((1).__lshift__, starts), map(list, start_pres)))
     frontier = sorted(known, reverse=True)
     start_count = len(frontier)
 

@@ -406,6 +406,43 @@ class TestEppsteinGreedy:
         table_bytes = sum(memoryview(x).nbytes for x in (t.dist, t.letter, t.order))
         assert peak < 1.25 * (sys.getsizeof(word) + len(word) + table_bytes)
 
+    def test_level_copies_take_four_bytes_per_labelled_pair(self, monkeypatch):
+        # A cyclic shift and a letter that moves 16 states: the table ends
+        # at level 28 with 2 691 pairs labelled, and the walk ends in seven
+        # distinct levels, each copied once, index-sorted, at 4 bytes per
+        # pair. The peak reads 1.05-1.06x the table, its preimage lists, the
+        # word and 4 bytes per labelled pair; the copies are under 1% of
+        # that, so copies held as lists of ints read 1.10x, just past the
+        # bound, and a copy made on every walk 1.15x.
+        rng = random.Random(16)
+        remap = list(range(200))
+        for q in rng.sample(range(200), 16):
+            remap[q] = rng.randrange(200)
+        a = Automaton([((q + 1) % 200, remap[q]) for q in range(200)])
+        tables = []
+
+        class Recorded(PairTable):
+            __slots__ = ()
+
+            def __init__(self, a):
+                super().__init__(a)
+                tables.append(self)
+
+        monkeypatch.setattr(baselines, "PairTable", Recorded)
+        tracemalloc.start()
+        try:
+            word = eppstein_greedy(a).word
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (t,) = tables
+        assert t.level >= 3
+        table_bytes = sum(memoryview(x).nbytes for x in (t.dist, t.letter, t.order))
+        lists_bytes = sum(sys.getsizeof(pre) for _, lists in t._inv for pre in lists)
+        labelled = len(t.order) - a.n
+        held = sys.getsizeof(word) + len(word) + table_bytes + lists_bytes
+        assert peak < 1.1 * (held + 4 * labelled)
+
 
 class TestExactShortest:
     def test_cerny4(self):

@@ -282,6 +282,22 @@ def test_bad_input_exits_with_error_not_traceback(capsys, argv):
         assert "'exact:'" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("run", "--random", "99999999999999999999", "2"),
+     ("bench", "--n", "99999999999999999999", "--trials", "1")],
+    ids=["run", "bench"],
+)
+def test_n_times_k_past_maxsize_is_refused_by_name(capsys, argv):
+    # not islice's "Stop argument for islice() must be None or an integer"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == (
+        "error: n=99999999999999999999 is too large: "
+        f"n*k must be at most {sys.maxsize}\n"
+    )
+
+
 @pytest.mark.parametrize("spec", ["²", "３"])
 @pytest.mark.parametrize(
     "argv",
@@ -506,3 +522,14 @@ def test_out_of_memory_is_an_error_not_a_traceback(argv):
     proc = run_cli_process_in_little_memory(argv)
     assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
     assert proc.stderr == "error: out of memory\n"
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_AS")
+def test_cerny_n_past_maxsize_is_refused_before_any_row():
+    # unchecked, the row list grows until memory runs out, so run it only
+    # under the limit: "out of memory" there means no check came first
+    proc = run_cli_process_in_little_memory(["run", "--cerny", "99999999999999999999"])
+    assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
+    assert proc.stderr == (
+        f"error: n=99999999999999999999 is too large: n must be at most {sys.maxsize}\n"
+    )
