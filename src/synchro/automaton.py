@@ -58,10 +58,10 @@ def _byte_tables(masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
-# Words are applied to a state list in runs of _LONG letters, then of _BLOCK
-# letters, then letter by letter; each run goes through one column composed
-# over all states and kept for reuse, a long run's from the columns of its
-# four short runs.
+# Words are applied to a state list in chunks of _LONG letters, each through
+# one column composed over all states and kept for reuse, from the columns of
+# its four runs of _BLOCK letters. A ragged last chunk goes run by run, and a
+# ragged last run letter by letter.
 _BLOCK = 16
 _LONG = 4 * _BLOCK
 # At most this many composed columns of n states, of both lengths together,
@@ -106,28 +106,26 @@ def _apply_word(
     blocks: dict[bytes | tuple[int, ...], list[int]],
 ) -> list[int]:
     """The successors of ``states`` under ``word``, one per entry, in order
-    and with repeats; ``cols[x][p]`` is the successor of p under x. The
-    composed column of each run is kept in ``blocks``, keyed by the run's
-    slice of ``word``, so that a caller applying many words can share it;
-    ``word`` must be bytes or a tuple, so that every slice is hashable."""
+    and with repeats; ``cols[x][p]`` is the successor of p under x. Each
+    _LONG-letter chunk goes through its column, else each of its runs
+    through its own, else letter by letter. The columns are kept in
+    ``blocks``, keyed by slices of ``word``, which must be bytes or a tuple
+    so that every slice is hashable; callers applying many words share them."""
     states = list(states)
-    start = 0
-    short = 0  # runs before this position take _BLOCK letters
-    while len(word) - start >= _BLOCK:
-        size = _LONG if start >= short and len(word) - start >= _LONG else _BLOCK
-        run = word[start : start + size]
-        col = _column(cols, run, blocks)
-        if col is None and size == _LONG:
-            short = start + _LONG  # no room for its column: take its short runs
-            continue
-        start += size
-        if col is None:
-            for x in run:
-                states = list(map(cols[x].__getitem__, states))
-        else:
+    for i in range(0, len(word), _LONG):
+        chunk = word[i : i + _LONG]
+        col = _column(cols, chunk, blocks) if len(chunk) == _LONG else None
+        if col is not None:
             states = list(map(col.__getitem__, states))
-    for x in word[start:]:
-        states = list(map(cols[x].__getitem__, states))
+            continue
+        for j in range(0, len(chunk), _BLOCK):
+            run = chunk[j : j + _BLOCK]
+            col = _column(cols, run, blocks) if len(run) == _BLOCK else None
+            if col is None:
+                for x in run:
+                    states = list(map(cols[x].__getitem__, states))
+            else:
+                states = list(map(col.__getitem__, states))
     return states
 
 
@@ -179,12 +177,10 @@ class Automaton:
     def full_bits(self) -> int:
         return (1 << self.n) - 1
 
-    def build_inverse(self) -> None:
-        """Build the inverse table now; perfbench's traced run times this."""
-        self._inverse()
-
-    def _inverse(self):
-        # Built on first use and kept; the transitions never change.
+    def build_inverse(self) -> tuple[tuple[int, ...], ...]:
+        """The inverse table: entry ``[a][p]`` is the mask of the states q
+        with delta(q, a) = p. Built on the first call and kept, since the
+        transitions never change."""
         inv = self._inv_bits
         if inv is None:
             masks_per_letter = []
@@ -208,12 +204,12 @@ class Automaton:
         # state has one successor per letter, so the entries are disjoint
         # and the sum carries nothing. The tables are built on the first
         # call, not with the inverse, and stored with the constants every
-        # call reads. Idempotent like _inverse().
+        # call reads, so later calls only read them.
         consts = self._pre_tables
         if consts is None:
             n = self.n
             packed = [0] * n
-            for x, masks in enumerate(self._inverse()):
+            for x, masks in enumerate(self.build_inverse()):
                 packed = [p | m << x * n for p, m in zip(packed, masks)]
             tables = _byte_tables(packed)
             consts = self._pre_tables = (
@@ -240,7 +236,7 @@ class Automaton:
         """{ q : delta(q, a) in bits }"""
         self._check_bits(bits)
         self._check_letter(a)
-        inv = self._inverse()[a]
+        inv = self.build_inverse()[a]
         return reduce(or_, [inv[q] for q in _bit_members(bits)], 0)
 
     def is_synchronizing_word(self, word: Sequence[int]) -> bool:
@@ -321,7 +317,7 @@ def _sink_component(a: Automaton) -> list[int]:
     below, a check that its last root is reached from all, and that root's
     forward closure."""
     full = a.full_bits
-    pred = [reduce(or_, masks) for masks in zip(*a._inverse())]
+    pred = [reduce(or_, masks) for masks in zip(*a.build_inverse())]
     # Sweep backward closures over the states not yet seen; the seen set
     # stays closed under predecessors. If some state is reached from all,
     # the root of the sweep that first sees it reaches every state through
@@ -354,7 +350,7 @@ def start_set(a: Automaton, mode: str = "all") -> list[int]:
     if mode == "sink":
         states = _sink_component(a)
     elif mode == "high-indegree":
-        inv = a._inverse()
+        inv = a.build_inverse()
         states = [
             p for p in range(a.n) if any(masks[p].bit_count() >= 2 for masks in inv)
         ]

@@ -25,7 +25,6 @@ the mask and the letter, so this reuse changes no word and no frontier size.
 
 from __future__ import annotations
 
-import math
 import operator
 from typing import Optional
 
@@ -39,8 +38,8 @@ UNBOUNDED = None
 
 
 def log_cap(n: int) -> int:
-    """The "log n" frontier cap: max(1, ceil(log2 n))."""
-    return max(1, math.ceil(math.log2(n))) if n > 1 else 1
+    """The "log n" frontier cap: max(1, ceil(log2 n)), exact in ints."""
+    return (max(n, 2) - 1).bit_length()
 
 
 def _check_options(
@@ -103,7 +102,7 @@ def cutoff_ibfs(
     # level reads a recurring set's list from there instead of the tables.
     # Only one level is carried. The start singletons seed it: the preimage
     # of {q} under x is the inverse mask inv[x][q], read with no lookup.
-    inv = r._inverse()
+    inv = r.build_inverse()
     starts = start_set(r, start_mode)
     start_pres = zip(*[map(row.__getitem__, starts) for row in inv])
     known = dict(zip(map((1).__lshift__, starts), map(list, start_pres)))

@@ -80,7 +80,8 @@ class TestAutomatonConstruction:
 
     def test_inverse_is_exact_relational_inverse(self):
         a = random_automaton(9, 3, seed=5)
-        inv = a._inverse()
+        inv = a.build_inverse()
+        assert a.build_inverse() is inv  # built once, then kept
         for letter in range(a.k):
             total = 0
             for p in range(a.n):
@@ -180,7 +181,7 @@ def test_preimage_kernel_matches_member_walk(case, inverse_first):
     # inverse table that the kernel's byte tables are built from
     a, masks = case
     if inverse_first:
-        a._inverse()  # else the first preimage_bits call builds both
+        a.build_inverse()  # else the first preimage_bits call builds both
     for bits in masks:
         members = [q for q in range(a.n) if bits >> q & 1]
         expect = [
@@ -197,7 +198,7 @@ def test_packed_tables_store_each_union_once():
     # one int however many entries read it, which keeps the tables below
     # the 5.69 MB that separate per-letter tables held at this size
     a = random_automaton(1000, 2, 0)
-    a._inverse()
+    a.build_inverse()
     tracemalloc.start()
     try:
         a.preimage_bits(0)
@@ -593,3 +594,41 @@ class TestTextFormat:
     def test_extra_rows_rejected(self):
         with pytest.raises(AutomatonFormatError):
             parse_automaton("2 2\n1 0\n0 1\n1 1\n")
+
+
+# Faults for near-valid text: signs, underscores, other digits, an empty
+# field and a number past the int digit limit.
+_JUNK = st.sampled_from(["", "-0", "+1", "0_1", "\u0663", "\uff11", "\u00b2", "1e3",
+                         "9" * 20, "9" * 4301])
+_SPACES = st.sampled_from([" ", "  ", "\t", "\xa0", "\u2003", "\x0b", "\x0c"])
+_ENDS = st.sampled_from(["\n", "\r\n", "\r", "\x1c", "\u2028", ""])
+
+
+@st.composite
+def _near_valid_texts(draw):
+    # an n-state, k-letter table with up to three fields made junk, and one
+    # line perhaps dropped or doubled; an empty field or line end changes a
+    # row's width, and "9" * 20 is a state out of range
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    lines = [[str(n), str(k)],
+             *([str(draw(st.integers(0, n - 1))) for _ in range(k)] for _ in range(n))]
+    for _ in range(draw(st.integers(0, 3))):
+        line = draw(st.sampled_from(lines))
+        line[draw(st.integers(0, len(line) - 1))] = draw(_JUNK)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n))
+        lines[i : i + 1] = [lines[i]] * draw(st.integers(0, 2))
+    return "".join(draw(_SPACES).join(fields) + draw(_ENDS) for fields in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), _near_valid_texts()))
+def test_any_text_parses_or_names_a_line(text):
+    try:
+        a = parse_automaton(text)
+    except AutomatonFormatError as exc:
+        # a missing row is reported at the line it would take, one past the end
+        assert 1 <= exc.line <= len(text.splitlines()) + 1
+    else:
+        assert isinstance(a, Automaton)
+        assert parse_automaton(serialize_automaton(a)) == a

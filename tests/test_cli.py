@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import os
@@ -8,9 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import PARITY_TAGS
 from synchro import cerny, cli, random_automaton, serialize_automaton
+from synchro.automaton import START_MODES
 from synchro.bench import (
     CSV_COLUMNS, NAMED_CAPS, ExperimentConfig, parse_algorithm, run_experiment, solve,
     trial_seed,
@@ -455,6 +458,86 @@ def test_readme_states_the_cli_contract(capsys, monkeypatch, tmp_path):
         code, _, err = run_cli(capsys, *shlex.split(command)[1:])
         assert code == EXIT_OK, (command, err)
     assert len(configs) == len(commands)
+
+
+# Flag values for the fuzz below: integers small enough that no table grows
+# large, or strings that argparse or the checks must refuse.
+_SHORT = st.one_of(
+    st.integers(-3, 14).map(str), st.sampled_from(["07", "\u0663", "1_0", "1e3", ""])
+)
+_VALUES = st.one_of(_SHORT, st.just("9" * 20))
+_TAGS = st.sampled_from(
+    [*PARITY_TAGS, "cutoff-ibfs:0", "cutoff-ibfs:07", "cutoff-ibfs:", "exact:", "x"]
+)
+_MODES = st.sampled_from([*START_MODES, "bogus", ""])
+_PATHS = st.sampled_from(["good", "bad", "missing", ""])
+
+
+def _flags(draw, arities):
+    """Some of the flags in ``arities``, in a drawn order, each followed by
+    its drawn values."""
+    argv = []
+    for flag in draw(st.permutations(list(arities)))[: draw(st.integers(0, 4))]:
+        argv += [flag, *draw(arities[flag])]
+    return argv
+
+
+@st.composite
+def _cli_argvs(draw):
+    one = st.lists(_VALUES, min_size=1, max_size=1)
+    search = {"--start-mode": st.lists(_MODES, min_size=1, max_size=1),
+              "--permute-indegree": st.just([])}
+    if draw(st.booleans()):
+        source = draw(st.sampled_from(["--file", "--cerny", "--random"]))
+        values = {"--file": st.lists(_PATHS, min_size=1, max_size=1),
+                  "--cerny": one, "--random": st.lists(_VALUES, min_size=2, max_size=2)}
+        return ["run", source, *draw(values[source]), *_flags(draw, {
+            "--seed": one, "--algo": st.lists(_TAGS, min_size=1, max_size=1),
+            "--maxlen": one, "--word": st.just([]), **search,
+        })]
+    # --n and --trials always, so the default matrix of 200-state trials never
+    # runs, and --trials never 20 digits, which would run that many trials
+    return ["bench", "--n", *draw(st.lists(_VALUES, min_size=1, max_size=3)),
+            "--trials", draw(_SHORT), *_flags(draw, {
+                "--k": one, "--seed": one, "--algos": st.lists(_TAGS, min_size=1, max_size=3),
+                "--out": st.lists(_PATHS, min_size=1, max_size=1), **search,
+            })]
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    home = tmp_path_factory.mktemp("fuzz")
+    (home / "good").write_text(serialize_automaton(cerny(4)), encoding="utf-8")
+    (home / "bad").write_bytes(b"2 2\n1 \xff\n0 1\n")
+    return home
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_cli_argvs())
+def test_generated_argument_lists_keep_the_exit_contract(cli_files, argv):
+    # in-process, so the output is captured by redirection: hypothesis does
+    # not take function-scoped fixtures such as capsys. A path flag's drawn
+    # value names a file in the fixture's directory.
+    argv = [str(cli_files / v) if flag in ("--file", "--out") else v
+            for flag, v in zip(["", *argv], argv)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the argument list
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    allowed = {EXIT_OK, EXIT_ERROR, 2}
+    if argv[0] == "run":
+        allowed |= {EXIT_NOT_FOUND, EXIT_NOT_SYNCHRONIZING}
+    assert code in allowed, (argv, err)
+    assert "Traceback" not in err
+    if code == EXIT_ERROR:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+    elif code == 2:
+        assert out == "" and err.startswith("usage: "), argv
+    else:
+        assert err == "", argv
 
 
 def run_cli_process(argv, stdout, preexec_fn=None):

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 from itertools import product
@@ -90,6 +91,17 @@ class TestOptions:
         assert log_cap(2) == 1
         assert log_cap(100) == 7
         assert log_cap(1000) == 10
+
+    def test_log_cap_is_exact_past_float_precision(self):
+        # a float log2 rounds 2**53 + 1 down to 2**53 and read 53 here
+        assert log_cap(2**53 + 1) == 54
+        assert log_cap(2**60 + 1) == 61
+        for e in range(1, 80):
+            assert log_cap(2**e) == e and log_cap(2**e + 1) == e + 1
+        # the float form is exact this low, so no small n changes its cap
+        assert all(
+            log_cap(n) == max(1, math.ceil(math.log2(n))) for n in range(2, 200_000)
+        )
 
 
 class TestCutoffIbfs:
