@@ -279,6 +279,14 @@ def cerny(n: int) -> Automaton:
     return Automaton(rows)
 
 
+def _check_random_size(n: int, k: int) -> None:
+    """Raise ValueError unless `random_automaton` can draw an (n, k) table."""
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
+    if n * k > sys.maxsize:
+        raise ValueError(f"n={n} is too large: n*k must be at most {sys.maxsize}")
+
+
 def random_automaton(n: int, k: int, seed: int) -> Automaton:
     """Uniformly random labeled automaton: row by row (state, then letter),
     each entry is what ``random.Random(seed).randrange(n)`` would draw next,
@@ -287,10 +295,7 @@ def random_automaton(n: int, k: int, seed: int) -> Automaton:
     ``randrange(n)`` draws ``getrandbits(n.bit_length())`` until the value is
     below n, so its values are those of the stream of such draws that are
     below n; the stream is filtered in C rather than called per entry."""
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    if n * k > sys.maxsize:
-        raise ValueError(f"n={n} is too large: n*k must be at most {sys.maxsize}")
+    _check_random_size(n, k)
     draw = random.Random(seed).getrandbits
     below_n = filter(n.__gt__, map(draw, repeat(n.bit_length())))
     return Automaton(zip(*[islice(below_n, n * k)] * k))
@@ -407,11 +412,21 @@ def _decimal(field: str, what: str, line: int) -> int:
     raise AutomatonFormatError(f"{what} {field!r} is not ASCII decimal digits", line)
 
 
+def _text_lines(text: str) -> list[str]:
+    """The lines of ``text`` as Python's text mode reads a file: split at
+    ``\n``, ``\r\n`` and a lone ``\r``, and nowhere else. Other breaks that
+    ``str.splitlines`` knows, such as ``\x0c``, ``\x1c`` or ``\u2028``,
+    stay inside their line, where ``str.split`` reads them as whitespace.
+    A final line break is followed by one empty line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse_automaton(text: str) -> Automaton:
     """Parse the interchange text format: first line "n k", then n lines of k
     whitespace-separated successor states (0-based). Every number is written
-    in ASCII decimal digits alone, with no sign, underscore or other digit."""
-    lines = text.splitlines()
+    in ASCII decimal digits alone, with no sign, underscore or other digit.
+    Lines end at ``\n``, ``\r\n`` or ``\r`` (`_text_lines`)."""
+    lines = _text_lines(text)
     if not lines or not lines[0].split():
         raise AutomatonFormatError("expected header 'n k'", 1)
     header = lines[0].split()

@@ -15,9 +15,9 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, TextIO
+from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
-from .automaton import Automaton, random_automaton
+from .automaton import Automaton, _check_random_size, random_automaton
 from .baselines import EXACT_MAX_STATES, eppstein_greedy, exact_shortest
 from .results import NotSynchronizing, SearchResult
 from .search import UNBOUNDED, _check_options, cutoff_ibfs, log_cap, synchronize
@@ -113,6 +113,8 @@ class ExperimentConfig:
             raise ValueError("need k >= 1")
         if self.trials < 1:
             raise ValueError("need trials >= 1")
+        # every size is checked here, so bad input stops before the first row
+        _check_random_size(max(self.ns), self.k)
         if len(set(self.ns)) < len(self.ns):
             raise ValueError(f"repeated n in {list(self.ns)}")
         if len(set(self.algorithms)) < len(self.algorithms):
@@ -145,10 +147,9 @@ class TrialRow(NamedTuple):
 CSV_COLUMNS = TrialRow._fields
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[TrialRow]:
-    """All trial rows, ordered by (position of n in cfg.ns, trial, algorithm
-    position)."""
-    rows = []
+def iter_experiment(cfg: ExperimentConfig) -> Iterator[TrialRow]:
+    """Each trial row as its trial ends, ordered by (position of n in
+    cfg.ns, trial, algorithm position)."""
     for n in cfg.ns:
         for trial in range(cfg.trials):
             seed = trial_seed(cfg.seed, n, trial)
@@ -161,16 +162,31 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRow]:
                     length, peak = res.length, res.frontier_peak()
                 except NotSynchronizing:
                     length, peak = -1, 0
-                rows.append(TrialRow(n, cfg.k, trial, seed, tag, length,
-                                     time.perf_counter() - t0, peak))
-    return rows
+                yield TrialRow(n, cfg.k, trial, seed, tag, length,
+                               time.perf_counter() - t0, peak)
 
 
-def write_csv(rows: list[TrialRow], out: TextIO) -> None:
+def run_experiment(cfg: ExperimentConfig) -> list[TrialRow]:
+    """All trial rows, in the order of `iter_experiment`."""
+    return list(iter_experiment(cfg))
+
+
+def write_csv(rows: Iterable[TrialRow], out: TextIO) -> list[TrialRow]:
+    """Write the header and then each row as it comes, flushing after each,
+    so a run cut short keeps every row it finished. The header goes out
+    with the first row, so a run that fails before any row writes nothing.
+    Returns the rows."""
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows([f"{v:.6f}" if isinstance(v, float) else v for v in row]
-                     for row in rows)
+    written: list[TrialRow] = []
+    for row in rows:
+        if not written:
+            writer.writerow(CSV_COLUMNS)
+        writer.writerow([f"{v:.6f}" if isinstance(v, float) else v for v in row])
+        out.flush()
+        written.append(row)
+    if not written:
+        writer.writerow(CSV_COLUMNS)
+    return written
 
 
 @dataclass

@@ -7,8 +7,11 @@ Subcommands:
 
 Exit codes for `run`: 0 found, 3 no word within maxlen, 4 not synchronizing.
 Both commands exit 1 on bad input, a failed write, or out of memory, with
-one `error:` line on stderr and no traceback; a run that fails on bad input
-or out of memory prints nothing to stdout. argparse usage errors exit 2.
+one `error:` line on stderr and no traceback; a command that fails on bad
+input, or out of memory before `bench` finishes its first row, prints
+nothing to stdout. `bench` checks its input before any trial and writes
+each CSV row as its trial ends, so a run cut short keeps the rows it
+finished. argparse usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .automaton import (
-    START_MODES, Automaton, AutomatonFormatError, cerny, parse_automaton,
-    random_automaton,
+    START_MODES, Automaton, AutomatonFormatError, _text_lines, cerny,
+    parse_automaton, random_automaton,
 )
 from .bench import (
-    NAMED_CAPS, ExperimentConfig, format_summary, run_experiment, solve, write_csv,
+    NAMED_CAPS, ExperimentConfig, format_summary, iter_experiment, solve, write_csv,
 )
 from .results import NotSynchronizing, SearchResult, _render_word
 
@@ -98,7 +101,8 @@ def _load_automaton(args) -> Automaton:
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
+            # the bytes before the fault decode, and lines count as the parser's
+            line = len(_text_lines(data[: exc.start].decode("utf-8")))
             raise AutomatonFormatError("not UTF-8 text", line) from None
         return parse_automaton(text)
     if args.cerny is not None:
@@ -149,8 +153,7 @@ def _cmd_bench(args) -> int:
     out = (nullcontext(sys.stdout) if args.out is None
            else open(args.out, "w", encoding="utf-8"))
     with out as fh:
-        rows = run_experiment(cfg)
-        write_csv(rows, fh)
+        rows = write_csv(iter_experiment(cfg), fh)
     print(f"# seed={cfg.seed}")
     print(format_summary(rows), end="")
     return EXIT_OK

@@ -34,9 +34,10 @@ class SearchResult:
     ``level_ops`` counts, per level, the preimage table lookups made plus one
     per dedup probe, for complexity checks: ceil(n/8) lookups per set whose
     k preimages are taken from the tables, whatever k is, and none for a
-    set whose preimages are reused from the level before; the start
-    singletons' preimages are read from the inverse table, so level 1
-    (``level_ops[0]``) counts its dedup probes alone.
+    set whose preimages are reused from the carry, which holds those of
+    sets expanded before; the start singletons' preimages are read from
+    the inverse table, so level 1 (``level_ops[0]``) counts its dedup
+    probes alone.
 
     ``level_probes`` counts, per level, the dedup probes: the nonempty
     preimages offered for dedup, which stop before the goal letter on the

@@ -18,9 +18,12 @@ A level's kept sets fix every later level, so a frontier equal to the one
 kept at the last power-of-two level (Brent's method) means a cycle, and the
 search stops there; so it ends on an automaton with no reset word without
 walking up to ``maxlen``. A set's k preimages come from one kernel call,
-one table lookup per byte of its mask serving every letter. Each level hands
-the preimages of the sets it expanded to the next; a preimage depends only on
-the mask and the letter, so this reuse changes no word and no frontier size.
+one table lookup per byte of its mask serving every letter. One carry, kept
+across levels, holds each expanded set's preimage list; a set found there is
+not expanded again. A preimage depends only on the mask and the letter, so
+this reuse changes no word and no frontier size. Only a list the kernel
+makes is tested for the full set, since a carried list was tested when it
+was made.
 """
 
 from __future__ import annotations
@@ -97,36 +100,43 @@ def cutoff_ibfs(
     # orders it) fixes every later level, so if it repeats the mask list
     # saved at the last power-of-two level, no later level reaches the goal.
     checkpoint = None
-    # A narrow frontier is mostly the frontier of the level before, so each
-    # level keeps the preimage lists of the sets it expands, and the next
-    # level reads a recurring set's list from there instead of the tables.
-    # Only one level is carried. The start singletons seed it: the preimage
-    # of {q} under x is the inverse mask inv[x][q], read with no lookup.
+    # A narrow frontier is mostly the sets of recent levels, so the carry
+    # `known` maps each set expanded so far to its preimage list, and a
+    # level reads a recurring set's list there instead of the tables; only
+    # the kernel writes it. The start singletons seed it with their inverse
+    # masks, inv[x][q] for {q} under x. A list is tested for the full set
+    # once, as it enters the carry, and a hit ends the search; so a carried
+    # list never holds it, but a start list may, and level 1 then finds the
+    # goal in its flat list.
     inv = r.build_inverse()
     starts = start_set(r, start_mode)
     start_pres = zip(*[map(row.__getitem__, starts) for row in inv])
     known = dict(zip(map((1).__lshift__, starts), map(list, start_pres)))
+    start_goal = any(full in pres for pres in known.values())
+    get = known.get
     frontier = sorted(known, reverse=True)
     start_count = len(frontier)
 
     for level in range(1, maxlen + 1):
-        expanded: dict[int, list[int]] = {}
         flat: list[int] = []
         lookups = 0
         goal = None
         for sbits in frontier:
-            pres = known.get(sbits)
+            pres = get(sbits)
             if pres is None:
-                pres = preimage(sbits)
+                pres = known[sbits] = preimage(sbits)
                 lookups += nbytes
-            expanded[sbits] = pres
+                if full in pres:
+                    goal = len(flat) + pres.index(full)
+                    flat += pres
+                    break
             flat += pres
-            if full in pres:
-                # the letters after the goal's are never offered for dedup
-                goal = len(flat) - k + pres.index(full)
-                del flat[goal:]
-                break
-        known = expanded
+        else:
+            if start_goal:  # level 1 only: it ends there
+                goal = flat.index(full)
+        if goal is not None:
+            # the letters after the goal's are never offered for dedup
+            del flat[goal:]
         offered = len(flat) - flat.count(0)
         probes.append(offered)
         level_ops.append(lookups + offered)
@@ -145,6 +155,14 @@ def cutoff_ibfs(
                 level_probes=probes,
                 level_distinct=distinct,
             )
+        # Past four times this frontier's size, the carry keeps only this
+        # level's sets. A trim copies under a quarter of what the carry
+        # holds, so all trims together copy under a third as many sets as
+        # the kernel expands, plus the start sets: O(1) per kernel call. The
+        # carry stays within a few levels' worth of sets.
+        if len(known) > 4 * len(frontier):
+            known = dict(zip(frontier, map(known.__getitem__, frontier)))
+            get = known.get
         # a set met twice keeps its first position, so its first parent
         trie = SetTrie.from_masks(flat)
         distinct.append(len(trie))

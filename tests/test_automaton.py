@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 import time
@@ -19,7 +20,7 @@ from synchro import (
     serialize_automaton,
     start_set,
 )
-from synchro.automaton import _BLOCK, _LONG, _MAX_BLOCKS, _apply_word
+from synchro.automaton import _BLOCK, _LONG, _MAX_BLOCKS, _apply_word, _byte_tables
 from conftest import brute_image, brute_preimage, brute_synchronizes
 
 
@@ -208,6 +209,29 @@ def test_packed_tables_store_each_union_once():
     assert size < 5.69e6
     for t in a._pre_tables[0]:
         assert len({id(v) for v in t}) == len(set(t))
+
+
+@pytest.mark.parametrize("count", [1, 7, 8, 13, 21])
+def test_byte_tables_entries_are_the_or_of_their_bits(count):
+    # masks with zeros, overlaps and a ragged last byte: entry b of table j
+    # is the OR of masks[8j + i] over the bits i of b, a missing mask 0;
+    # each subset of the nonzero masks is ORed once, so a union repeated
+    # by a zero mask is one int, not one per copy
+    rng = random.Random(count)
+    masks = [rng.choice([0, 0, 1 << rng.randrange(40, 80), rng.getrandbits(80)])
+             for _ in range(count)]
+    tables = _byte_tables(masks)
+    assert len(tables) == (count + 7) // 8
+    for j, table in enumerate(tables):
+        assert len(table) == 256
+        byte = masks[8 * j : 8 * j + 8]
+        assert len({id(v) for v in table}) == 2 ** sum(map(bool, byte))
+        for b, entry in enumerate(table):
+            want = 0
+            for i, x in enumerate(byte):
+                if b >> i & 1:
+                    want |= x
+            assert entry == want, (j, b)
 
 
 def test_checked_preimage_builds_no_byte_tables():
@@ -595,6 +619,34 @@ class TestTextFormat:
         with pytest.raises(AutomatonFormatError):
             parse_automaton("2 2\n1 0\n0 1\n1 1\n")
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_lines_end_as_in_text_mode(self, end):
+        assert parse_automaton(end.join(["2 2", "1 0", "0 1", ""])).rows == (
+            (1, 0), (0, 1)
+        )
+        with pytest.raises(AutomatonFormatError) as exc:
+            parse_automaton(end.join(["2 2", "1 0", "", "0 x", ""]))
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize(
+        "space", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_other_line_breaks_are_in_row_whitespace(self, space):
+        # str.splitlines breaks at each of these, an editor and text mode do not
+        assert parse_automaton(f"2 2\n1{space}0\n0 1{space}\n").rows == (
+            (1, 0), (0, 1)
+        )
+        with pytest.raises(AutomatonFormatError) as exc:
+            parse_automaton(f"2 2\n1 0{space}0 1\n")
+        assert exc.value.line == 2
+        assert "got 4" in str(exc.value)
+
+    def test_form_feed_row_end_names_the_faulty_line(self):
+        with pytest.raises(AutomatonFormatError) as exc:
+            parse_automaton("2 2\n1 0\x0c\n0 x\n")
+        assert exc.value.line == 3
+        assert "'x'" in str(exc.value)
+
 
 # Faults for near-valid text: signs, underscores, other digits, an empty
 # field and a number past the int digit limit.
@@ -627,8 +679,9 @@ def test_any_text_parses_or_names_a_line(text):
     try:
         a = parse_automaton(text)
     except AutomatonFormatError as exc:
+        # lines as text mode reads them, ending at \n, \r\n or \r only;
         # a missing row is reported at the line it would take, one past the end
-        assert 1 <= exc.line <= len(text.splitlines()) + 1
+        assert 1 <= exc.line <= len(io.StringIO(text, newline=None).readlines()) + 1
     else:
         assert isinstance(a, Automaton)
         assert parse_automaton(serialize_automaton(a)) == a

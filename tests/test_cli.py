@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import PARITY_TAGS
+import synchro.bench
 from synchro import cerny, cli, random_automaton, serialize_automaton
 from synchro.automaton import START_MODES
 from synchro.bench import (
@@ -138,8 +139,12 @@ def test_file_with_non_ascii_decimal_number_exits_1(tmp_path, capsys, text, line
 @pytest.mark.parametrize(
     "content, reason",
     [(b"2 2\n1 \xff\n0 1\n", "line 2: not UTF-8 text"),
+     # lines end at \r too, as the parser counts them
+     (b"2 2\r1 0\r\n0 \xff\r", "line 3: not UTF-8 text"),
+     (b"2 2\x0c\x1c\n1 0\n\xff", "line 3: not UTF-8 text"),
      (b"", "line 1: expected header 'n k'"), (None, "Is a directory")],
-    ids=["undecodable", "empty", "directory"],
+    ids=["undecodable", "undecodable-after-cr", "undecodable-after-ff", "empty",
+         "directory"],
 )
 def test_unreadable_file_exits_1(tmp_path, capsys, content, reason):
     path = tmp_path / "machine"
@@ -194,13 +199,37 @@ def test_bench_bad_out_path_fails_before_the_trials(tmp_path, capsys, monkeypatc
     def no_trials(cfg):
         raise AssertionError("trials ran before the output file was opened")
 
-    monkeypatch.setattr(cli, "run_experiment", no_trials)
+    monkeypatch.setattr(cli, "iter_experiment", no_trials)
     code, _, err = run_cli(
         capsys, "bench", "--n", "4", "--trials", "1",
         "--out", str(tmp_path / "missing-dir" / "rows.csv"),
     )
     assert code == EXIT_ERROR
     assert err.startswith("error: ")
+
+
+def test_bench_keeps_the_rows_of_a_run_cut_short(tmp_path, monkeypatch):
+    # each row is written as its trial ends, the header with the first, so
+    # a run that stops in its third trial leaves the header and two rows
+    real_solve = synchro.bench.solve
+    solved = []
+
+    def two_then_stop(*args, **kwargs):
+        if len(solved) == 2:
+            raise RuntimeError("stopped in the third trial")
+        solved.append(args)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(synchro.bench, "solve", two_then_stop)
+    out_path = tmp_path / "rows.csv"
+    with pytest.raises(RuntimeError, match="third trial"):
+        cli.main(["bench", "--n", "5", "--trials", "3", "--algos", "eppstein",
+                  "--out", str(out_path)])
+    lines = out_path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["5", "2", "0"], ["5", "2", "1"]
+    ]
 
 
 def test_bench_to_stdout(capsys):
@@ -450,7 +479,7 @@ def test_readme_states_the_cli_contract(capsys, monkeypatch, tmp_path):
 
     # each bench example parses and its options make a config; no trial runs
     configs = []
-    monkeypatch.setattr(cli, "run_experiment", lambda cfg: configs.append(cfg) or [])
+    monkeypatch.setattr(cli, "iter_experiment", lambda cfg: configs.append(cfg) or [])
     monkeypatch.chdir(tmp_path)
     commands = _readme_commands("bench")
     assert commands

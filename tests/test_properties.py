@@ -1,9 +1,9 @@
 """Properties of every algorithm on small random automata (n <= 8, k <= 3;
 n <= 10 for the capped search, the start sets and the in-degree relabelling,
-n <= 12 for Eppstein's word and the word check, n <= 14 and k <= 4 for the
-pair table's queue order and its pauses, n <= 30 and k <= 4 for Eppstein's
-word on four families), checked against the exact oracle, the brute-force
-oracles and the automaton's own transition table."""
+n <= 12 for Eppstein's word, the word check and the search's kernel calls,
+n <= 14 and k <= 4 for the pair table's queue order and its pauses, n <= 30
+and k <= 4 for Eppstein's word on four families), checked against the exact
+oracle, the brute-force oracles and the automaton's own transition table."""
 
 import random
 import subprocess
@@ -32,6 +32,7 @@ from synchro import baselines
 from synchro.automaton import START_MODES
 from synchro.baselines import PairTable
 from synchro.bench import solve
+from synchro.settrie import SetTrie
 from conftest import (
     brute_capped_search,
     brute_indegree_relabel,
@@ -129,6 +130,40 @@ def test_cutoff_search_matches_brute_capped_search(a, cap, mode, permute, maxlen
         assert len(res.level_distinct) == max(res.length - 1, 0)
         for level, count in enumerate(res.level_distinct):
             assert res.level_probes[level] >= count >= res.frontier_sizes[level + 1]
+
+
+@examples
+@given(automata(max_n=12), st.sampled_from([1, 3, UNBOUNDED]), st.integers(0, 60))
+def test_carried_search_matches_brute_and_counts_its_kernel_calls(a, cap, maxlen):
+    # the preimage carry changes no word, frontier, probe or distinct count,
+    # and each level's ops are ceil(n/8) per kernel call it made plus its
+    # dedup probes; every level but the goal's ends with a cut
+    calls, marks = [], []
+    pre, take = Automaton.preimage_bits, SetTrie.take_largest
+
+    def counting(self, bits):
+        calls.append(bits)
+        return pre(self, bits)
+
+    def marking(self, c):
+        marks.append(len(calls))
+        return take(self, c)
+
+    with patch.object(Automaton, "preimage_bits", counting), \
+            patch.object(SetTrie, "take_largest", marking):
+        res = cutoff_ibfs(a, maxlen, cap)
+    got = None if res is None else (
+        res.length, res.word, res.frontier_sizes, res.level_probes, res.level_distinct
+    )
+    assert got == brute_capped_search(a, maxlen, cap)
+    if res is not None and res.length:
+        ends = [0, *marks, len(calls)]
+        made = [end - begin for begin, end in zip(ends, ends[1:])]
+        assert len(made) == res.length
+        lookups = (a.n + 7) // 8
+        assert res.level_ops == [
+            lookups * count + probes for count, probes in zip(made, res.level_probes)
+        ]
 
 
 @examples

@@ -219,13 +219,20 @@ class TestCutoffIbfs:
                 assert a.is_synchronizing_word(res.word)
 
 
-    def test_class_hook_sees_every_table_preimage(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "a, length", [(cerny(8), 49), (random_automaton(20, 2, 1), 9)],
+        ids=["cerny-8", "random-20"],
+    )
+    def test_class_hook_sees_every_table_preimage(self, monkeypatch, a, length):
         # A wrapper patched onto the class, as the benchmark's tracer does,
         # sees each set whose k preimages the search takes from the tables,
         # one call per set. The start singletons' preimages are read from
-        # the inverse masks, so level 1 makes no call; each later level
-        # calls it on every set the level before did not expand, and reads
-        # the others' preimages from there, a kept start singleton's too.
+        # the inverse masks, so level 1 makes no call. Later levels call it
+        # on each set not in the carry, and read the others' preimages from
+        # there, a kept start singleton's too. The carry gains each set a
+        # call expands, and after a level that leaves it over four times
+        # that level's frontier, keeps only that frontier, so a set the
+        # level before expanded never reaches the kernel.
         calls = []
         frontiers = []  # the cut of each level, the next level's input
         marks = []  # len(calls) at each cut
@@ -243,13 +250,12 @@ class TestCutoffIbfs:
 
         monkeypatch.setattr(Automaton, "preimage_bits", counting)
         monkeypatch.setattr(SetTrie, "take_largest", recording)
-        assert cutoff_ibfs(cerny(8), 1, 8) is None
+        assert cutoff_ibfs(a, 1, 8) is None
         assert calls == []
         frontiers.clear()
         marks.clear()
-        res = synchronize(cerny(8), 8)
-        length = res.length
-        assert length == 49
+        res = synchronize(a, 8)
+        assert res.length == length
         assert [len(f) for f in frontiers] == res.frontier_sizes[1:]
         assert marks[0] == 0  # level 1 takes no table preimage
         # every call is on the search's own mirrored copy
@@ -262,24 +268,36 @@ class TestCutoffIbfs:
         )
         expanded = frontiers[:-1] + [last[: stop + 1]]
         ends = marks + [len(calls)]
-        start = {1 << q for q in range(8)}
+        start = {1 << q for q in range(a.n)}
         kept = [bits for bits in expanded[0] if bits in start]
-        assert kept  # level 2 reads these from the carry
         assert start.isdisjoint(bits for _, bits in calls[ends[0] : ends[1]])
-        seen_before = set()
+        carry = set(start)
+        before = start  # level 1's frontier
+        trims = older_hits = 0
         for i, sets in enumerate(expanded):  # level i + 2
-            before = set(expanded[i - 1]) if i else start
+            if len(carry) > 4 * len(before):
+                carry = set(before)
+                trims += 1
             got = [bits for _, bits in calls[ends[i] : ends[i + 1]]]
-            assert got == [b for b in sets if b not in before]
-            assert seen_before.isdisjoint(got)
-            seen_before = set(got)
-        assert len(calls) < sum(map(len, expanded)) // 4
+            assert got == [b for b in sets if b not in carry]
+            assert before.isdisjoint(got)
+            older_hits += sum(b in carry and b not in before for b in sets)
+            carry.update(got)
+            before = set(sets)
+        assert trims
+        if a == cerny(8):
+            assert kept  # level 2 reads these from the carry
+            # a narrow frontier is mostly the level before's
+            assert len(calls) < sum(map(len, expanded)) // 4
+        else:
+            # a set expanded two or more levels back is not expanded again
+            assert older_hits
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("cap", [3, 8, UNBOUNDED], ids=["cap-3", "cap-8", "unbounded"])
     def test_level_ops_count_the_lookups_made(self, monkeypatch, seed, cap):
         # ceil(n/8) per set whose k preimages come from the tables, none
-        # for a set read from the level before or a start singleton, and
+        # for a set read from the carry or a start singleton, and
         # one per dedup probe, which the oracle counts on member sets
         calls = []
         pre = Automaton.preimage_bits
