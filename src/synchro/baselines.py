@@ -139,53 +139,82 @@ def _merge_ahead(
     cols: Columns, table: PairTable, members: list[int], budget: int
 ) -> tuple[list[int], int] | None:
     """The first letters of the merging word a fully grown ``table`` gives the
-    closest pair of ``members`` (sorted; no pair of them labelled), up to the
-    labelled pair they lead to, and that pair; or None once the search has
-    cost more than ``budget`` (1 per pair started, k per pair of each layer
-    expanded) or some member pair never merges.
+    closest pair of ``members`` (sorted; no pair of them labelled; ties: the
+    lexicographically smallest pair), up to the labelled pair they lead to,
+    and that pair; or None once the search would cost more than ``budget``,
+    or when no member pair merges.
 
-    A forward BFS over pairs from each member pair in turn stops at the first
-    layer t that holds a labelled pair. Every pair at distance <= l =
-    ``table.level`` is labelled and every other pair lies beyond l, so the
-    member pair is at distance t + l and the labelled pairs of layer t at l.
-    The budget is about the work of expanding the table's last level, the
-    least a :meth:`PairTable.grow` costs, so a look-ahead that gives up costs
-    no more than the growth it falls back to."""
+    One forward BFS over pairs runs from all member pairs at once, with one
+    seen set: layer 0 is the member pairs in ``combinations`` order, and each
+    pair records the pair that first reached it, so that its source, the
+    member pair it was reached from, is the end of that chain. A pair's
+    first depth t is its least distance from the member pairs. Layer 0 is
+    ordered by source, and each layer is expanded in order, so each layer is
+    too, and a pair's source is the smallest member pair at distance t from
+    it. The search stops at the first labelled pair it reaches, at depth t,
+    the least distance from a member pair to the table; its source is the
+    smallest member pair at that distance. Every pair at distance <= l =
+    ``table.level`` is labelled and every other pair lies beyond l, so each
+    member pair's merging distance is l plus its distance to the table:
+    the source is the closest member pair. Only its own BFS layers, with
+    their own seen set, are then rebuilt for :func:`_table_word`.
+
+    The budget is charged one unit per member pair before layer 0 is built,
+    so a search with more member pairs than budget returns at once, then k
+    per pair of each layer before it is expanded; each pair is expanded once.
+    The greedy passes about the work of expanding the table's last level,
+    the least a :meth:`PairTable.grow` costs, so a look-ahead that gives up
+    costs no more than the growth it falls back to."""
     n, dist = table.n, table.dist
     k = len(cols)
-    best: list[list[int]] = []  # forward layers of the closest pair so far
-    for p, q in combinations(members, 2):
-        budget -= 1
-        layers = [[p * n + q]]
-        seen = {p * n + q}
-        # a tie keeps the earlier pair, so a later one only seeks the table
-        # in fewer than len(best) - 1 letters
-        while not best or len(layers) < len(best) - 1:
-            budget -= k * len(layers[-1])
-            if budget < 0 or not layers[-1]:
-                return None
-            nxt = []
-            hit = False
-            for i in layers[-1]:
-                u, v = divmod(i, n)
-                for col in cols:
-                    x = col[u]
-                    y = col[v]
-                    j = x * n + y if x <= y else y * n + x
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-                        if dist[j] >= 0:
-                            hit = True
-            layers.append(nxt)
-            # hit: the layer holds a labelled pair; it was built in full all
-            # the same, since _table_word ranks every labelled pair in it
-            if hit:
-                best = layers
-                break
-        if len(best) == 2:
-            break  # no pair meets the table in fewer than one letter
-    return _table_word(cols, table, best) if best else None
+    m = len(members)
+    budget -= m * (m - 1) // 2
+    if budget < 0:
+        return None
+    layer = [p * n + q for p, q in combinations(members, 2)]
+    reached_from = dict.fromkeys(layer, -1)  # layer 0 is reached from none
+    depth = 1
+    while layer:
+        budget -= k * len(layer)
+        if budget < 0:
+            return None
+        nxt = []
+        for i in layer:
+            u, v = divmod(i, n)
+            for col in cols:
+                x = col[u]
+                y = col[v]
+                j = x * n + y if x <= y else y * n + x
+                if j not in reached_from:
+                    reached_from[j] = i
+                    if dist[j] >= 0:
+                        while reached_from[i] >= 0:
+                            i = reached_from[i]  # back to the source
+                        return _table_word(cols, table, _own_layers(cols, n, i, depth))
+                    nxt.append(j)
+        layer = nxt
+        depth += 1
+    return None
+
+
+def _own_layers(cols: Columns, n: int, pair: int, depth: int) -> list[list[int]]:
+    """The forward BFS layers 0..``depth`` of ``pair`` alone, each the pairs
+    first reached at that depth, in the order the BFS reaches them."""
+    layers = [[pair]]
+    seen = {pair}
+    for _ in range(depth):
+        nxt = []
+        for i in layers[-1]:
+            u, v = divmod(i, n)
+            for col in cols:
+                x = col[u]
+                y = col[v]
+                j = x * n + y if x <= y else y * n + x
+                if j not in seen:
+                    seen.add(j)
+                    nxt.append(j)
+        layers.append(nxt)
+    return layers
 
 
 def _table_word(
@@ -244,16 +273,20 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
     level, made when a walk first ends in that level and kept, since a
     labelled level never changes; as every unlabelled pair lies beyond the
     table's level, the least labelled distance is the least distance. If
-    not, a forward BFS from each member pair looks ahead to the table's
-    labelled pairs for the closest pair and the letters the grown table
-    would give it up to one of them, for at most about the work of
-    expanding the table's last level (:func:`_merge_ahead`); failing that,
-    the table grows to the first level that holds a pair of members. Either
-    way the rest of the word is the table's letters along the pair's chain
-    of labellers. All three give the lexicographically smallest pair at the
-    least distance, so the words are those of a greedy that reads a fully
-    built table; the table grows only when no other way finds a pair, which
-    on random automata leaves its widest levels unbuilt.
+    not, one forward BFS from all member pairs at once, with one seen set,
+    looks ahead to the table's labelled pairs for the closest pair and the
+    letters the grown table would give it up to one of them
+    (:func:`_merge_ahead`). Its budget is k times the size of the table's
+    last level, about the work of expanding that level. Starting costs one
+    unit per member pair, so with more member pairs than that it gives up
+    before building anything, and each layer costs k per pair in it, each
+    pair reached once. Failing that, the table grows to the first level
+    that holds a pair of members. Either way the rest of the word is the
+    table's letters along the pair's chain of labellers. All three give the
+    lexicographically smallest pair at the least distance, so the words are
+    those of a greedy that reads a fully built table; the table grows only
+    when no other way finds a pair, which on random automata leaves its
+    widest levels unbuilt.
 
     A chain that meets a pair an earlier merge already read copies that
     pair's letters from the word instead of reading them again. The copy is

@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from synchro import (
     UNBOUNDED,
@@ -194,28 +195,28 @@ class TestPairTable:
 
 def table_merge_word(a, members):
     """The merging word of the closest pair of ``members`` (ties: the least
-    index) read off the fully grown table, None if no pair merges, and
-    whether some pair never merges."""
+    index) read off the fully grown table, None if no pair merges."""
     n = a.n
     t = grown_table(a)
     dists = [(t.dist[p * n + q], p * n + q) for i, p in enumerate(members) for q in members[i + 1 :]]
     merging = [pair for pair in dists if pair[0] > 0]
     if not merging:
-        return None, True
+        return None
     p, q = divmod(min(merging)[1], n)
     word = []
     while p != q:
         x = t.letter[pair_index(n, p, q)]
         word.append(x)
         p, q = a.delta(p, x), a.delta(q, x)
-    return word, len(merging) < len(dists)
+    return word
 
 
-def ahead_word(a, table, members):
+def ahead_word(a, table, members, budget=10**9):
     """The merging word ``_merge_ahead`` finds for ``members`` on ``table``
-    (unbudgeted): its prefix, then the table's letters from the labelled pair
-    it meets, which lies at the table's level; None if it finds none."""
-    ahead = _merge_ahead(list(zip(*a.rows)), table, members, 10**9)
+    (unbudgeted by default): its prefix, then the table's letters from the
+    labelled pair it meets, which lies at the table's level; None if it
+    finds none."""
+    ahead = _merge_ahead(list(zip(*a.rows)), table, members, budget)
     if ahead is None:
         return None
     word, meet = ahead
@@ -237,12 +238,10 @@ class TestMergeAhead:
         rng = random.Random(seed)
         for size in (2, 3, 6, n):
             members = sorted(rng.sample(range(n), size))
-            expect, stuck = table_merge_word(a, members)
-            # None once the BFS of a pair that never merges is searched
-            allowed = [expect, None] if stuck else [expect]
+            expect = table_merge_word(a, members)
             # a fresh table is met on the diagonal, its level 0, so the
             # prefix is the whole word
-            assert ahead_word(a, PairTable(a), members) in allowed
+            assert ahead_word(a, PairTable(a), members) == expect
             if expect is not None:
                 # grown to each level below the least distance, the table is
                 # met at that level, and the prefix and its letters from the
@@ -250,19 +249,48 @@ class TestMergeAhead:
                 table = PairTable(a)
                 while table.level < len(expect) - 1:
                     grow_level(table)
-                    assert ahead_word(a, table, members) in allowed
+                    assert ahead_word(a, table, members) == expect
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_table_level_gives_the_oracles_word(self, data):
+        n = data.draw(st.integers(2, 12), label="n")
+        k = data.draw(st.integers(1, 4), label="k")
+        row = st.lists(st.integers(0, n - 1), min_size=k, max_size=k)
+        a = Automaton(data.draw(st.lists(row, min_size=n, max_size=n), label="rows"))
+        members = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2)))
+        expect = table_merge_word(a, members)
+        # any level below the least distance, or any level at all when no
+        # member pair merges
+        top = len(expect) - 1 if expect is not None else n * n
+        level = data.draw(st.integers(0, top), label="level")
+        table = PairTable(a)
+        while table.level < level and grow_level(table):
+            pass
+        assert ahead_word(a, table, members) == expect
+        budget = data.draw(st.integers(0, 4 * k * n * n), label="budget")
+        assert ahead_word(a, table, members, budget) in (expect, None)
 
     def test_budget_zero_gives_none(self):
         a = random_automaton(10, 2, 0)
         assert _merge_ahead(list(zip(*a.rows)), PairTable(a), list(range(10)), 0) is None
 
     def test_stops_at_the_lower_bound(self):
-        # {0, 1} meets the diagonal under letter 0, one letter ahead, which
-        # no pair beats, so {0, 2}, which never merges, is not started:
-        # starting {0, 1} costs 1 and expanding it k = 2, a budget of 3 in all
+        # starting the 6 member pairs costs 6 and expanding their layer k = 2
+        # each, 18 in all; {0, 1}, expanded first, meets the diagonal under
+        # letter 0, so the search stops there and {0, 2}, which never
+        # merges, is never expanded
         cols = list(zip(*TWO_SINKS.rows))
-        assert _merge_ahead(cols, PairTable(TWO_SINKS), [0, 1, 2, 3], 3) == ([0], 0)
-        assert _merge_ahead(cols, PairTable(TWO_SINKS), [0, 1, 2, 3], 2) is None
+        assert _merge_ahead(cols, PairTable(TWO_SINKS), [0, 1, 2, 3], 18) == ([0], 0)
+        assert _merge_ahead(cols, PairTable(TWO_SINKS), [0, 1, 2, 3], 17) is None
+
+    def test_more_member_pairs_than_budget_builds_no_layer(self, monkeypatch):
+        def no_layer(*args):
+            raise AssertionError("layer 0 built")
+
+        monkeypatch.setattr(baselines, "combinations", no_layer)
+        cols = list(zip(*TWO_SINKS.rows))
+        assert _merge_ahead(cols, PairTable(TWO_SINKS), [0, 1, 2, 3], 5) is None
 
     def test_pair_that_never_merges_gives_none(self):
         cols = list(zip(*TWO_SINKS.rows))
@@ -270,10 +298,16 @@ class TestMergeAhead:
         with pytest.raises(NotSynchronizing):
             eppstein_greedy(TWO_SINKS)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_far_merges_leave_the_table_small(self, seed, monkeypatch):
+    @pytest.mark.parametrize(
+        "k, seed, bound",
+        [(2, 0, 6_000), (2, 1, 6_000), (2, 2, 6_000), (3, 4, 10_000)],
+        ids=["0", "1", "2", "k3-4"],
+    )
+    def test_far_merges_leave_the_table_small(self, k, seed, bound, monkeypatch):
         # the far merges are found by looking ahead to the table, so growing
-        # it labels only 3 815-4 064 of the 499 500 pairs
+        # it labels only 3 815-4 064 pairs, the diagonal included, at k = 2,
+        # and 2 481 at k = 3 on seed 4, where a look-ahead that runs out of
+        # budget lets the table grow to level 7 (483 261)
         labelled = []
         grow = PairTable.grow
 
@@ -283,8 +317,8 @@ class TestMergeAhead:
             return found
 
         monkeypatch.setattr(PairTable, "grow", counted)
-        eppstein_greedy(random_automaton(1000, 2, seed))
-        assert 0 < labelled[-1] < 6_000
+        eppstein_greedy(random_automaton(1000, k, seed))
+        assert 0 < labelled[-1] < bound
 
 
 class TestEppsteinGreedy:
