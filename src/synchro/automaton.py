@@ -87,18 +87,24 @@ def _column(
             return None
         col = list(range(len(cols[0])))
         for x in run:
-            col = list(map(cols[x].__getitem__, col))
+            c = cols[x]
+            col = [c[p] for p in col]
     else:
         parts = [run[i : i + _BLOCK] for i in range(0, _LONG, _BLOCK)]
         if len(blocks) + len(set(parts) - blocks.keys()) >= _MAX_BLOCKS:
             return None
         col = _column(cols, parts[0], blocks)
         for part in parts[1:]:
-            col = list(map(_column(cols, part, blocks).__getitem__, col))
+            c = _column(cols, part, blocks)
+            col = [c[p] for p in col]
     blocks[run] = col
     return col
 
 
+# Columns are applied as [c[p] for p in xs], here and in _column: over a
+# tuple column, list(map(c.__getitem__, xs)) calls tuple.__getitem__ through
+# its slot wrapper, about 49 ns per state against 17 ns for the comprehension
+# (1 000 states, CPython 3.11.7); over a list column, map takes 24 ns.
 def _apply_word(
     cols: Sequence[Sequence[int]],
     word: bytes | tuple[int, ...],
@@ -116,16 +122,17 @@ def _apply_word(
         chunk = word[i : i + _LONG]
         col = _column(cols, chunk, blocks) if len(chunk) == _LONG else None
         if col is not None:
-            states = list(map(col.__getitem__, states))
+            states = [col[p] for p in states]
             continue
         for j in range(0, len(chunk), _BLOCK):
             run = chunk[j : j + _BLOCK]
             col = _column(cols, run, blocks) if len(run) == _BLOCK else None
             if col is None:
                 for x in run:
-                    states = list(map(cols[x].__getitem__, states))
+                    c = cols[x]
+                    states = [c[p] for p in states]
             else:
-                states = list(map(col.__getitem__, states))
+                states = [col[p] for p in states]
     return states
 
 
@@ -241,10 +248,11 @@ class Automaton:
 
     def is_synchronizing_word(self, word: Sequence[int]) -> bool:
         """True iff applying ``word`` to the full state set yields a singleton.
-        Every letter is checked first, so a letter outside ``[0, k)`` raises
+        Every distinct letter is checked first, once, in the order the word
+        first uses it, so the first letter outside ``[0, k)`` raises
         ValueError even after the states have merged."""
         word = tuple(word)  # _apply_word keys runs by slices of it
-        for a in word:
+        for a in dict.fromkeys(word):
             self._check_letter(a)
         # Spans of runs, each span's states deduplicated, so that the state
         # list shrinks with the set it stands for.

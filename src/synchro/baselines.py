@@ -6,6 +6,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import combinations
+from typing import Sequence
 
 from .automaton import Automaton, _apply_word
 from .results import InstanceTooLarge, NotSynchronizing, SearchResult
@@ -66,9 +67,10 @@ class PairTable:
                 lists[p].append(q)
             self._inv.append((x, lists))
 
-    def grow(self, inside: bytes | bytearray) -> list[int]:
+    def grow(self, inside: Sequence[int]) -> list[int]:
         """Label levels until one holds pairs of states both flagged in
-        ``inside`` and return their indices ``p*n+q`` in BFS order (all-ones
+        ``inside``, any sequence of 0/1 ints indexed by state (a list reads
+        fastest), and return their indices ``p*n+q`` in BFS order (all-ones
         flags: the next level); once the BFS ends, return [] instead.
 
         The first label of level 128 overflows the one-byte ``dist`` before
@@ -86,7 +88,7 @@ class PairTable:
             self.dist = wide
             return self._grow(inside)
 
-    def _grow(self, inside: bytes | bytearray) -> list[int]:
+    def _grow(self, inside: Sequence[int]) -> list[int]:
         """:meth:`grow` in distances of the current width.
 
         One ``head`` position runs through ``order`` from ``level_start``;
@@ -313,7 +315,7 @@ def eppstein_greedy(a: Automaton) -> SearchResult:
     while len(members) > 1:
         best = -1
         m = len(members)
-        inside = bytearray(n)
+        inside = [0] * n
         for p in members:
             inside[p] = 1
         if m * (m - 1) // 2 <= len(order) - n:

@@ -110,7 +110,7 @@ def cutoff_ibfs(
     # goal in its flat list.
     inv = r.build_inverse()
     starts = start_set(r, start_mode)
-    start_pres = zip(*[map(row.__getitem__, starts) for row in inv])
+    start_pres = zip(*[[row[q] for q in starts] for row in inv])
     known = dict(zip(map((1).__lshift__, starts), map(list, start_pres)))
     start_goal = any(full in pres for pres in known.values())
     get = known.get

@@ -263,6 +263,18 @@ class TestSynchronizingWord:
         with pytest.raises(ValueError):
             cerny(3).is_synchronizing_word((0, 2))
 
+    def test_the_first_bad_letter_is_named(self):
+        a = cerny(3)
+        with pytest.raises(ValueError, match=r"^letter 5 out of range \[0, 2\)$"):
+            a.is_synchronizing_word((0, 5, 1, -1))
+        with pytest.raises(ValueError, match=r"^letter -1 out of range \[0, 2\)$"):
+            a.is_synchronizing_word((1, -1, 0, 5))
+        # the states have merged before the bad letter
+        word = exact_shortest(a).word
+        assert a.is_synchronizing_word(word)
+        with pytest.raises(ValueError, match=r"^letter 2 out of range"):
+            a.is_synchronizing_word(word + (1, 2, 0))
+
     def test_list_tuple_and_bytes_words_agree(self):
         # 522 letters, three 256-letter spans; without its last
         # letter the word leaves two states

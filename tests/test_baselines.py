@@ -192,6 +192,29 @@ class TestPairTable:
         assert t.dist.typecode == "i"
         assert (t.dist, t.letter, t.order) == (whole.dist, whole.letter, whole.order)
 
+    @pytest.mark.parametrize(
+        "a, seed",
+        [(random_automaton(60, 2, s), s) for s in range(4)] + [(cerny(20), 4)],
+        ids=[f"random-{s}" for s in range(4)] + ["cerny20"],
+    )
+    def test_list_flags_grow_the_same_table_as_bytes_flags(self, a, seed):
+        # the greedy flags its members in a list of 0/1 ints; cerny(20)'s
+        # table passes level 127, so one call widens it and grows again
+        rng = random.Random(seed)
+        flags = [rng.randrange(2) for _ in range(a.n)]
+        twins = []
+        for inside in (bytes(flags), flags):
+            t = PairTable(a)
+            hits = [t.grow(inside)]
+            while hits[-1]:
+                hits.append(t.grow(inside))
+            twins.append((hits, t))
+        (hits_b, b), (hits_l, t) = twins
+        assert hits_l == hits_b and len(hits_l) > 1
+        assert (t.dist, t.letter, t.order) == (b.dist, b.letter, b.order)
+        assert (t.level, t.level_start) == (b.level, b.level_start)
+        assert t.dist.typecode == ("i" if a.n == 20 else "b")
+
 
 def table_merge_word(a, members):
     """The merging word of the closest pair of ``members`` (ties: the least
